@@ -5,7 +5,8 @@
 #
 .PHONY: build test bench bench-baseline bench-baseline-smoke bench-throughput \
         bench-throughput-smoke bench-tradeoff bench-tradeoff-smoke bench-scale \
-        bench-scale-smoke bench-latency bench-latency-smoke bench-check chaos \
+        bench-scale-smoke bench-latency bench-latency-smoke bench-check \
+        benchmark-smoke chaos \
         docs deep-fuzz figures lint fmt protocol-check serve-smoke verify help
 
 help:
@@ -25,6 +26,7 @@ help:
 	@echo "  bench-latency          re-record BENCH_latency.json (open-loop server tail latency)"
 	@echo "  bench-latency-smoke    CI smoke for the latency harness (tiny, writes to target/)"
 	@echo "  bench-check            validate committed BENCH_*.json against the recorders' schemas"
+	@echo "  benchmark-smoke        CI smoke for the repository benchmark (BENCHMARK.json, benchmark/)"
 	@echo "  serve-smoke            scripted client session against a loopback silc-server"
 	@echo "  protocol-check         docs/PROTOCOL.md <-> protocol.rs test lockstep gate"
 	@echo "  chaos                  fault-injection matrix: seeded disk faults, retries, dead shards"
@@ -127,6 +129,13 @@ protocol-check:
 # updating crates/bench/src/schema.rs and re-recording.
 bench-check:
 	cargo run --release -p silc-bench --bin bench_check
+
+# CI smoke for the repository benchmark (BENCHMARK.json, benchmark/ — the
+# one every performance claim cites): all four workloads, traced and
+# untraced, at tiny sizes with 1 s windows; bounds are not applied, answers
+# are still checked. Builds into benchmark/target/.
+benchmark-smoke:
+	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
 # Rustdoc with warnings denied — keeps the crate-level docs from rotting.
 docs:

@@ -12,6 +12,14 @@
 //!   answers `network_distance` bit-identically to the in-memory index it
 //!   was encoded from — which pins every version bit-identical to every
 //!   other;
+//! * **SILC span order**: the `SILCIDX3` writer lays the per-vertex record
+//!   spans out in Morton order of the vertex codes, and the reader accepts
+//!   them in any order. The same image re-laid in vertex-id order (what the
+//!   writer produced before the clustering) answers `try_entry`,
+//!   `try_min_lambda` and kNN bit-identically, monolithic and as the shards
+//!   of a partitioned directory; a committed image from before the change
+//!   still opens; and on a network whose ids are random in space the
+//!   clustered image does at most half the physical page reads;
 //! * **PCP**: the compressed (v4) and fixed-width (v3) encodings of one
 //!   oracle answer `distance_with_epsilon` — distance *and* per-pair cap —
 //!   bit-identically to the memory oracle;
@@ -23,14 +31,65 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use silc::disk::{encode_index_with_version, DiskSilcIndex, CURRENT_VERSION};
+use silc::disk::{encode_index, encode_index_with_version, DiskSilcIndex, CURRENT_VERSION};
+use silc::partitioned::{PartitionedBuildConfig, PartitionedSilcIndex};
 use silc::path::network_distance;
-use silc::{BuildConfig, SilcIndex};
+use silc::{BuildConfig, CellRect, DistanceBrowser, SilcIndex};
 use silc_network::generate::{road_network, RoadConfig};
-use silc_network::VertexId;
+use silc_network::partition::PartitionConfig;
+use silc_network::{SpatialNetwork, VertexId};
 use silc_pcp::{DiskDistanceOracle, DistanceOracle};
-use silc_storage::MemPageStore;
+use silc_query::{KnnVariant, ObjectSet, PartitionedEngine, QueryEngine};
+use silc_storage::{ChecksumTable, FilePageStore, MemPageStore};
 use std::sync::Arc;
+
+/// Re-lays a `SILCIDX3` image with its record spans in vertex-id order and
+/// reseals the checksum table: byte for byte what the writer produced
+/// before it clustered the spans along the Morton curve (the committed
+/// fixture below pins that). The records themselves are copied untouched.
+fn id_ordered(image: &[u8]) -> Vec<u8> {
+    let u64_at = |off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap()) as usize;
+    assert_eq!(&image[..8], b"SILCIDX3");
+    let n = u32::from_le_bytes(image[8..12].try_into().unwrap()) as usize;
+    let (entries_base, entries_len, cksum_base) = (u64_at(56), u64_at(64), u64_at(72));
+    let directory = 80 + 8 * n;
+    let starts: Vec<usize> = (0..n).map(|v| u64_at(directory + 12 * v)).collect();
+    let mut sorted = starts.clone();
+    sorted.push(entries_len);
+    sorted.sort_unstable();
+
+    let mut out = image[..entries_base].to_vec();
+    for (v, &start) in starts.iter().enumerate() {
+        // A span ends where the next one (by offset) starts.
+        let end = sorted[sorted.partition_point(|&s| s <= start)];
+        let new_start = (out.len() - entries_base) as u64;
+        out[directory + 12 * v..directory + 12 * v + 8].copy_from_slice(&new_start.to_le_bytes());
+        out.extend_from_slice(&image[entries_base + start..entries_base + end]);
+    }
+    assert_eq!(out.len(), entries_base + entries_len, "spans must tile the entry region");
+    let table = ChecksumTable::compute(&out);
+    out.resize(cksum_base, 0);
+    out.extend_from_slice(&table.to_bytes());
+    out
+}
+
+fn open_mem(image: &[u8], g: &Arc<SpatialNetwork>, pool: f64, cache: usize) -> Arc<DiskSilcIndex> {
+    let store = Box::new(MemPageStore::new(image));
+    Arc::new(DiskSilcIndex::from_store(store, g.clone(), pool, cache).unwrap())
+}
+
+/// One kNN answer as comparable bits.
+fn knn_bits(
+    session: &mut silc_query::QuerySession<DiskSilcIndex>,
+    q: VertexId,
+    k: usize,
+) -> Vec<(u32, u64, u64)> {
+    let r = session.knn(q, k, KnnVariant::Basic);
+    r.neighbors
+        .iter()
+        .map(|n| (n.object.0, n.interval.lo.to_bits(), n.interval.hi.to_bits()))
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -73,6 +132,138 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    #[test]
+    fn silc_span_order_is_invisible_to_queries(
+        seed in 0u64..1_000_000,
+        vertices in 60usize..140,
+        shards in 2usize..4,
+    ) {
+        let g = Arc::new(road_network(&RoadConfig { vertices, seed, ..Default::default() }));
+        let idx =
+            SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 1 }).unwrap();
+        let clustered = encode_index(&idx);
+        let by_id = id_ordered(&clustered);
+        prop_assert_eq!(clustered.len(), by_id.len());
+        prop_assert!(clustered != by_id, "road-network ids are not in Morton order");
+        let disks = [open_mem(&clustered, &g, 0.5, 8), open_mem(&by_id, &g, 0.5, 8)];
+
+        // Monolithic: every lookup the query layer makes, then kNN itself.
+        let n = g.vertex_count() as u32;
+        let side = 1u32 << 8;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0DE2);
+        for _ in 0..200 {
+            let u = VertexId(rng.gen_range(0..n));
+            let v = VertexId(rng.gen_range(0..n));
+            let code = disks[0].vertex_code(v);
+            prop_assert_eq!(code, disks[1].vertex_code(v));
+            let (x0, y0) = (rng.gen_range(0..side), rng.gen_range(0..side));
+            let rect = CellRect::new(x0, y0, rng.gen_range(x0..side), rng.gen_range(y0..side));
+            prop_assert_eq!(
+                disks[0].try_entry(u, code).unwrap(),
+                disks[1].try_entry(u, code).unwrap()
+            );
+            prop_assert_eq!(
+                disks[0].try_min_lambda(u, &rect).unwrap().map(f64::to_bits),
+                disks[1].try_min_lambda(u, &rect).unwrap().map(f64::to_bits)
+            );
+        }
+        let objects = Arc::new(ObjectSet::random(&g, 0.2, seed));
+        let mut sessions = disks.clone().map(|d| QueryEngine::new(d, objects.clone()).session());
+        for _ in 0..20 {
+            let q = VertexId(rng.gen_range(0..n));
+            let want = knn_bits(&mut sessions[0], q, 5);
+            prop_assert_eq!(want.len(), 5.min(objects.len()));
+            prop_assert!(want == knn_bits(&mut sessions[1], q, 5), "kNN diverged at {q}");
+        }
+
+        // Partitioned: the same directory with every shard file re-laid in
+        // id order routes to the same answers.
+        let cfg = PartitionedBuildConfig {
+            partition: PartitionConfig { shards, ..Default::default() },
+            grid_exponent: 8,
+            threads: 1,
+            cache_fraction: 0.5,
+        };
+        let root =
+            std::env::temp_dir().join("silc-span-order-fuzz").join(format!("{seed}-{vertices}"));
+        std::fs::remove_dir_all(&root).ok();
+        let (dir_clustered, dir_by_id) = (root.join("clustered"), root.join("by-id"));
+        let built = PartitionedSilcIndex::build_in_dir(g.clone(), &dir_clustered, &cfg).unwrap();
+        std::fs::create_dir_all(&dir_by_id).unwrap();
+        for file in std::fs::read_dir(&dir_clustered).unwrap() {
+            let file = file.unwrap();
+            let bytes = std::fs::read(file.path()).unwrap();
+            let bytes = if bytes.starts_with(b"SILCIDX3") { id_ordered(&bytes) } else { bytes };
+            FilePageStore::create(dir_by_id.join(file.file_name()), &bytes).unwrap();
+        }
+        let reopened = PartitionedSilcIndex::open_dir(g.clone(), &dir_by_id, &cfg).unwrap();
+        prop_assert!(reopened.open_warnings().is_empty());
+        let mut routed = [built, reopened]
+            .map(|index| PartitionedEngine::new(Arc::new(index), objects.clone()).session());
+        for _ in 0..10 {
+            let q = VertexId(rng.gen_range(0..n));
+            let want = routed[0].knn(q, 5).clone();
+            let got = routed[1].knn(q, 5);
+            prop_assert!(want.complete && got.complete);
+            prop_assert!(want.neighbors == got.neighbors, "routed kNN diverged at {q}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
+
+/// The fixture is `encode_index` of the index below as the parent of the
+/// Morton-layout change wrote it: spans in vertex-id order. Regenerate it
+/// (with `id_ordered`) only if the network generator or the index builder
+/// deliberately changes what this index contains.
+#[test]
+fn id_ordered_image_from_before_the_morton_layout_still_opens() {
+    let fixture: &[u8] = include_bytes!("fixtures/silcidx3_id_order.bin");
+    let g = Arc::new(road_network(&RoadConfig { vertices: 40, seed: 7, ..Default::default() }));
+    let idx = SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 1 }).unwrap();
+    let old = open_mem(fixture, &g, 0.5, 8);
+    assert_eq!(old.format_version(), 3);
+    for u in g.vertices() {
+        for v in g.vertices() {
+            let (got, want) = (network_distance(&*old, u, v), network_distance(&idx, u, v));
+            assert_eq!(got.unwrap().to_bits(), want.unwrap().to_bits(), "{u}->{v}");
+        }
+    }
+    // Same records, same bytes, different order: today's writer differs
+    // from the pre-change one by the span permutation alone.
+    assert!(id_ordered(&encode_index(&idx)) == fixture, "writer output drifted from the fixture");
+}
+
+/// Counters, not clocks: the benchmark's `local_cold` shape (2 % pool,
+/// 32-entry cache, k = 10) on a road network, whose ids are random in
+/// space. Clustering must at least halve the physical page reads of a fixed
+/// kNN stream — deterministic, so the locality gain cannot silently rot.
+#[test]
+fn clustered_spans_halve_physical_reads_on_a_cold_pool() {
+    let (n, queries) = (3000, 400);
+    let g = Arc::new(road_network(&RoadConfig { vertices: n, seed: 2008, ..Default::default() }));
+    let idx = SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 10, threads: 0 }).unwrap();
+    let objects = Arc::new(ObjectSet::random(&g, 0.05, 11));
+    let clustered = encode_index(&idx);
+    let pages_read = |image: &[u8]| {
+        let disk = open_mem(image, &g, 0.02, 32);
+        let mut session = QueryEngine::new(disk.clone(), objects.clone()).session();
+        let answers: Vec<_> = (0..queries)
+            .map(|i| knn_bits(&mut session, VertexId(((i * 7919) % n) as u32), 10))
+            .collect();
+        let io = disk.io_stats();
+        (io.misses + io.prefetched, answers)
+    };
+    let (clustered_reads, clustered_answers) = pages_read(&clustered);
+    let (by_id_reads, by_id_answers) = pages_read(&id_ordered(&clustered));
+    assert!(clustered_answers == by_id_answers, "span order changed an answer");
+    assert!(
+        2 * clustered_reads <= by_id_reads,
+        "{queries} queries read {clustered_reads} pages clustered, {by_id_reads} id-ordered"
+    );
 }
 
 proptest! {

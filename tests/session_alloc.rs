@@ -2,6 +2,9 @@
 //! workspaces have grown to a workload's steady-state size, re-running a
 //! query performs **zero** heap allocations — the hot path is pure reuse.
 //!
+//! The same counter locks the disk read path's contract: an entry-cache
+//! miss served from pooled pages allocates the decoded list and nothing else.
+//!
 //! The whole test binary runs under a counting global allocator with
 //! per-thread counters (so the harness's own threads cannot contaminate a
 //! measurement).
@@ -141,4 +144,31 @@ fn one_shot_wrappers_do_allocate() {
     let before = allocations_on_this_thread();
     let _ = silc_query::knn(&*idx, &objects, VertexId(42), 10, KnnVariant::Basic);
     assert!(allocations_on_this_thread() > before, "the allocation counter must be live");
+}
+
+#[test]
+fn entry_cache_miss_on_pooled_pages_allocates_only_the_entry_list() {
+    // A one-vertex entry cache under a pool holding the whole file: every
+    // lookup re-decodes its vertex's span from pooled pages. Once the
+    // per-thread raw-span scratch has grown, the decoded `Arc<[BlockEntry]>`
+    // is the only allocation left on that path.
+    let (idx, _) = fixture();
+    let n = idx.network().vertex_count() as u32;
+    let disk = silc::DiskSilcIndex::from_store(
+        Box::new(silc_storage::MemPageStore::new(&silc::disk::encode_index(&idx))),
+        idx.network_arc().clone(),
+        1.0,
+        1,
+    )
+    .unwrap();
+    let code = disk.vertex_code(VertexId(0));
+    let sweep = || (0..n).all(|v| disk.try_entry(VertexId(v), code).unwrap().is_some());
+    assert!(sweep());
+    disk.reset_io_stats();
+    let before = allocations_on_this_thread();
+    assert!(sweep());
+    let allocated = allocations_on_this_thread() - before;
+    assert_eq!(disk.entry_cache_stats().misses, n as u64, "every lookup must decode");
+    assert_eq!(disk.io_stats().misses, 0, "every page must come from the pool");
+    assert_eq!(allocated, n as u64, "one allocation per decoded entry list");
 }
