@@ -6,7 +6,7 @@
 .PHONY: build test bench bench-baseline bench-baseline-smoke bench-throughput \
         bench-throughput-smoke bench-tradeoff bench-tradeoff-smoke bench-scale \
         bench-scale-smoke bench-latency bench-latency-smoke bench-check \
-        benchmark-smoke chaos \
+        benchmark-smoke benchmark-test chaos \
         docs deep-fuzz figures lint fmt protocol-check serve-smoke verify help
 
 help:
@@ -27,6 +27,7 @@ help:
 	@echo "  bench-latency-smoke    CI smoke for the latency harness (tiny, writes to target/)"
 	@echo "  bench-check            validate committed BENCH_*.json against the recorders' schemas"
 	@echo "  benchmark-smoke        CI smoke for the repository benchmark (BENCHMARK.json, benchmark/)"
+	@echo "  benchmark-test         the repository benchmark's own unit tests (statistics, checks, trace)"
 	@echo "  serve-smoke            scripted client session against a loopback silc-server"
 	@echo "  protocol-check         docs/PROTOCOL.md <-> protocol.rs test lockstep gate"
 	@echo "  chaos                  fault-injection matrix: seeded disk faults, retries, dead shards"
@@ -136,6 +137,12 @@ bench-check:
 # are still checked. Builds into benchmark/target/.
 benchmark-smoke:
 	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
+# The harness's own unit tests (percentiles, the answer checks, the trace
+# breakdown, the ladder verdict). benchmark/ is outside the workspace, so
+# `cargo test` at the root never runs them.
+benchmark-test:
+	cargo test --offline --manifest-path benchmark/Cargo.toml
 
 # Rustdoc with warnings denied — keeps the crate-level docs from rotting.
 docs:

@@ -80,18 +80,22 @@ impl<R> SubmissionQueue<R> {
         self.state.lock().unwrap().jobs.len()
     }
 
-    /// Submits one job. `Err(job)` hands the job back when the queue is
-    /// full or closed — the caller answers `SERVER_BUSY` (or drops it on
-    /// shutdown). Never blocks: backpressure is the point.
-    pub fn try_submit(&self, job: Job<R>) -> Result<(), Job<R>> {
+    /// Submits the jobs of one `BATCH` frame under one lock hold and one
+    /// wake-up, so an executor drains (and Morton-sorts) them together. The
+    /// longest prefix that fits is queued, in order; returns its length and
+    /// leaves the rest in `jobs` — queue full or closed — for the caller to
+    /// answer `SERVER_BUSY` (or drop on shutdown). Never blocks:
+    /// backpressure is the point.
+    pub fn try_submit_all(&self, jobs: &mut Vec<Job<R>>) -> usize {
         let mut s = self.state.lock().unwrap();
-        if s.closed || s.jobs.len() >= self.capacity {
-            return Err(job);
-        }
-        s.jobs.push_back(job);
+        let free = if s.closed { 0 } else { self.capacity - s.jobs.len() };
+        let accepted = free.min(jobs.len());
+        s.jobs.extend(jobs.drain(..accepted));
         drop(s);
-        self.nonempty.notify_one();
-        Ok(())
+        if accepted > 0 {
+            self.nonempty.notify_one();
+        }
+        accepted
     }
 
     /// Blocks until at least one job is available (or the queue closes),
@@ -146,32 +150,73 @@ mod tests {
         }
     }
 
+    /// Submits one job; hands it back when it did not fit.
+    fn submit(q: &SubmissionQueue<()>, job: Job<()>) -> Result<(), Job<()>> {
+        let mut one = vec![job];
+        match q.try_submit_all(&mut one) {
+            0 => Err(one.pop().unwrap()),
+            _ => Ok(()),
+        }
+    }
+
     #[test]
     fn backpressure_engages_at_capacity() {
         let q: SubmissionQueue<()> = SubmissionQueue::new(2);
-        assert!(q.try_submit(job(0, 0)).is_ok());
-        assert!(q.try_submit(job(1, 0)).is_ok());
-        let bounced = q.try_submit(job(2, 0)).unwrap_err();
+        assert!(submit(&q, job(0, 0)).is_ok());
+        assert!(submit(&q, job(1, 0)).is_ok());
+        let bounced = submit(&q, job(2, 0)).unwrap_err();
         assert_eq!(bounced.sequence, 2, "the rejected job comes back intact");
         assert_eq!(q.depth(), 2);
 
         let mut out = Vec::new();
         assert!(q.drain(1, &mut out));
         assert_eq!(out.len(), 1);
-        assert!(q.try_submit(job(3, 0)).is_ok(), "draining frees a slot");
+        assert!(submit(&q, job(3, 0)).is_ok(), "draining frees a slot");
+    }
+
+    #[test]
+    fn try_submit_all_queues_the_prefix_that_fits_and_leaves_the_rest_in_order() {
+        let q: SubmissionQueue<()> = SubmissionQueue::new(5);
+        submit(&q, job(100, 0)).unwrap();
+        submit(&q, job(101, 0)).unwrap();
+
+        // Three slots free, seven jobs offered.
+        let mut jobs: Vec<Job<()>> = (0..7).map(|i| job(i, 0)).collect();
+        assert_eq!(q.try_submit_all(&mut jobs), 3);
+        assert_eq!(jobs.iter().map(|j| j.sequence).collect::<Vec<_>>(), vec![3, 4, 5, 6]);
+        assert_eq!(q.depth(), 5);
+        assert_eq!(q.try_submit_all(&mut jobs), 0, "a full queue takes nothing");
+        assert_eq!(jobs.len(), 4);
+
+        // One drain sees the whole accepted prefix, behind what was queued
+        // before it, in submission order.
+        let mut out = Vec::new();
+        assert!(q.drain(64, &mut out));
+        assert_eq!(out.iter().map(|j| j.sequence).collect::<Vec<_>>(), vec![100, 101, 0, 1, 2]);
+
+        // Everything fits: nothing is left behind. Nothing offered: nothing happens.
+        assert_eq!(q.try_submit_all(&mut jobs), 4);
+        assert!(jobs.is_empty());
+        assert_eq!(q.try_submit_all(&mut jobs), 0);
+        assert_eq!(q.depth(), 4);
+
+        q.close();
+        let mut late = vec![job(9, 0)];
+        assert_eq!(q.try_submit_all(&mut late), 0, "a closed queue takes nothing");
+        assert_eq!(late.len(), 1);
     }
 
     #[test]
     fn drain_respects_max_and_close_drains_remainder() {
         let q: SubmissionQueue<()> = SubmissionQueue::new(8);
         for i in 0..5 {
-            q.try_submit(job(i, 0)).unwrap();
+            submit(&q, job(i, 0)).unwrap();
         }
         let mut out = Vec::new();
         assert!(q.drain(3, &mut out));
         assert_eq!(out.len(), 3);
         q.close();
-        assert!(q.try_submit(job(9, 0)).is_err(), "closed queue rejects");
+        assert!(submit(&q, job(9, 0)).is_err(), "closed queue rejects");
         assert!(q.drain(10, &mut out), "close still hands out queued jobs");
         assert_eq!(out.len(), 5);
         assert!(!q.drain(10, &mut out), "closed and empty ends the executor");

@@ -93,6 +93,8 @@ impl Client {
     /// Connects and performs the HELLO / SERVER_HELLO handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
         let mut stream = TcpStream::connect(addr)?;
+        // As the server does: Nagle only adds the peer's delayed-ACK timer.
+        stream.set_nodelay(true)?;
         protocol::write_frame(&mut stream, &Frame::Hello { version: VERSION })?;
         match protocol::read_frame(&mut stream)? {
             Some(Frame::ServerHello { version, capabilities, vertex_count, object_count }) => {
@@ -138,10 +140,7 @@ impl Client {
     /// outcome, returns them in sequence order.
     pub fn batch(&mut self, bodies: &[QueryBody]) -> Result<Vec<Outcome>, ClientError> {
         let id = self.fresh_id();
-        protocol::write_frame(
-            &mut self.stream,
-            &Frame::Batch { request_id: id, bodies: bodies.to_vec() },
-        )?;
+        self.send_batch_nowait(id, bodies)?;
         let mut outcomes: Vec<Option<Outcome>> = vec![None; bodies.len()];
         let mut missing = bodies.len();
         while missing > 0 {
@@ -182,9 +181,7 @@ impl Client {
 
     /// Says goodbye and consumes the client. The server closes cleanly.
     pub fn goodbye(mut self) -> Result<(), ClientError> {
-        protocol::write_frame(&mut self.stream, &Frame::Goodbye)?;
-        let _ = self.stream.flush();
-        Ok(())
+        Ok(protocol::write_frame(&mut self.stream, &Frame::Goodbye)?)
     }
 
     // -- open-loop primitives (the latency bench's surface) -----------------
@@ -197,11 +194,8 @@ impl Client {
         request_id: u64,
         bodies: &[QueryBody],
     ) -> Result<(), ClientError> {
-        protocol::write_frame(
-            &mut self.stream,
-            &Frame::Batch { request_id, bodies: bodies.to_vec() },
-        )?;
-        Ok(())
+        let frame = Frame::Batch { request_id, bodies: bodies.to_vec() };
+        Ok(protocol::write_frame(&mut self.stream, &frame)?)
     }
 
     /// Receives the next per-query outcome: `(request id, sequence,

@@ -313,86 +313,106 @@ fn put_answer_body(buf: &mut Vec<u8>, a: &AnswerBody) {
     }
 }
 
-/// Serializes a frame (header + payload) into a fresh byte vector.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
+/// `u16` length + UTF-8 text, cut at the last char boundary that fits the
+/// length field — a cut inside a character would not decode as UTF-8.
+fn put_text(buf: &mut Vec<u8>, text: &str) {
+    let mut n = text.len().min(u16::MAX as usize);
+    while !text.is_char_boundary(n) {
+        n -= 1;
+    }
+    put_u16(buf, n as u16);
+    buf.extend_from_slice(&text.as_bytes()[..n]);
+}
+
+/// Whether a `RESPONSE` of this shape (20 fixed payload bytes: request id,
+/// sequence, answer header) fits one frame. A longer one is fatal to its
+/// receiver ([`DecodeError::FrameTooLarge`]), so the server must not send it.
+pub(crate) fn response_fits(neighbors: usize, degraded: usize) -> bool {
+    20 + 4 * degraded as u64 + 24 * neighbors as u64 <= MAX_FRAME_LEN as u64
+}
+
+/// Appends a frame (header + payload) to `buf` — the one encoder. The
+/// payload is written in place behind a header whose `kind` and `length` are
+/// patched in afterwards, so a warmed buffer encodes without allocating.
+pub fn encode_frame_into(buf: &mut Vec<u8>, frame: &Frame) {
+    let start = buf.len();
+    put_u32(buf, MAGIC);
+    put_u16(buf, VERSION);
+    buf.extend_from_slice(&[0; HEADER_LEN - 6]); // kind, flags, length
     let kind = match frame {
         Frame::Hello { version } => {
-            put_u16(&mut payload, *version);
+            put_u16(buf, *version);
             FrameKind::Hello
         }
         Frame::ServerHello { version, capabilities, vertex_count, object_count } => {
-            put_u16(&mut payload, *version);
-            payload.push(*capabilities);
-            put_u32(&mut payload, *vertex_count);
-            put_u32(&mut payload, *object_count);
+            put_u16(buf, *version);
+            buf.push(*capabilities);
+            put_u32(buf, *vertex_count);
+            put_u32(buf, *object_count);
             FrameKind::ServerHello
         }
         Frame::Query { request_id, body } => {
-            put_u64(&mut payload, *request_id);
-            put_query_body(&mut payload, body);
+            put_u64(buf, *request_id);
+            put_query_body(buf, body);
             FrameKind::Query
         }
         Frame::Batch { request_id, bodies } => {
-            put_u64(&mut payload, *request_id);
-            put_u32(&mut payload, bodies.len() as u32);
+            put_u64(buf, *request_id);
+            put_u32(buf, bodies.len() as u32);
             for b in bodies {
-                put_query_body(&mut payload, b);
+                put_query_body(buf, b);
             }
             FrameKind::Batch
         }
         Frame::Response { request_id, sequence, answer } => {
-            put_u64(&mut payload, *request_id);
-            put_u32(&mut payload, *sequence);
-            put_answer_body(&mut payload, answer);
+            put_u64(buf, *request_id);
+            put_u32(buf, *sequence);
+            put_answer_body(buf, answer);
             FrameKind::Response
         }
         Frame::Error { request_id, sequence, code, detail } => {
-            put_u64(&mut payload, *request_id);
-            put_u32(&mut payload, *sequence);
-            put_u16(&mut payload, *code);
-            let detail = detail.as_bytes();
-            let n = detail.len().min(u16::MAX as usize);
-            put_u16(&mut payload, n as u16);
-            payload.extend_from_slice(&detail[..n]);
+            put_u64(buf, *request_id);
+            put_u32(buf, *sequence);
+            put_u16(buf, *code);
+            put_text(buf, detail);
             FrameKind::Error
         }
         Frame::ServerBusy { request_id, sequence } => {
-            put_u64(&mut payload, *request_id);
-            put_u32(&mut payload, *sequence);
+            put_u64(buf, *request_id);
+            put_u32(buf, *sequence);
             FrameKind::ServerBusy
         }
         Frame::Status => FrameKind::Status,
         Frame::StatusReply(s) => {
-            put_u32(&mut payload, s.queue_depth);
-            put_u32(&mut payload, s.queue_capacity);
-            put_u64(&mut payload, s.queries_answered);
-            put_u64(&mut payload, s.busy_rejections);
-            put_u64(&mut payload, s.batches_drained);
-            put_u64(&mut payload, s.bodies_executed);
-            put_u16(&mut payload, s.warnings.len() as u16);
+            put_u32(buf, s.queue_depth);
+            put_u32(buf, s.queue_capacity);
+            put_u64(buf, s.queries_answered);
+            put_u64(buf, s.busy_rejections);
+            put_u64(buf, s.batches_drained);
+            put_u64(buf, s.bodies_executed);
+            put_u16(buf, s.warnings.len() as u16);
             for w in &s.warnings {
-                let bytes = w.as_bytes();
-                let n = bytes.len().min(u16::MAX as usize);
-                put_u16(&mut payload, n as u16);
-                payload.extend_from_slice(&bytes[..n]);
+                put_text(buf, w);
             }
             FrameKind::StatusReply
         }
         Frame::Goodbye => FrameKind::Goodbye,
     };
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut out, MAGIC);
-    put_u16(&mut out, VERSION);
-    out.push(kind as u8);
-    out.push(0); // flags
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    let length = (buf.len() - start - HEADER_LEN) as u32;
+    buf[start + 6] = kind as u8;
+    buf[start + 8..start + HEADER_LEN].copy_from_slice(&length.to_le_bytes());
+}
+
+/// Serializes a frame (header + payload) into a fresh byte vector.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, frame);
     out
 }
 
-/// Encodes and writes one frame. One `write_all` per frame, so concurrent
-/// writers serialized by a lock never interleave partial frames.
+/// Encodes and writes one frame with one `write_all`. Writers sharing a
+/// socket lock it per write of whole frames — this one, or several encoded
+/// back to back by [`encode_frame_into`] — so partial frames never interleave.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(frame))
 }
@@ -436,6 +456,13 @@ impl<'a> Cursor<'a> {
     }
     fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// The counterpart of [`put_text`]: `u16` length + UTF-8 text.
+    fn text(&mut self, what: &str) -> Result<String, DecodeError> {
+        let len = self.u16()? as usize;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| DecodeError::Malformed(format!("{what} is not UTF-8")))
     }
 
     fn query_body(&mut self) -> Result<QueryBody, DecodeError> {
@@ -523,10 +550,7 @@ fn decode_payload(kind: FrameKind, payload: &[u8]) -> Result<Frame, DecodeError>
             let request_id = c.u64()?;
             let sequence = c.u32()?;
             let code = c.u16()?;
-            let len = c.u16()? as usize;
-            let detail = String::from_utf8(c.take(len)?.to_vec())
-                .map_err(|_| DecodeError::Malformed("error detail is not UTF-8".into()))?;
-            Frame::Error { request_id, sequence, code, detail }
+            Frame::Error { request_id, sequence, code, detail: c.text("error detail")? }
         }
         FrameKind::ServerBusy => Frame::ServerBusy { request_id: c.u64()?, sequence: c.u32()? },
         FrameKind::Status => Frame::Status,
@@ -542,10 +566,7 @@ fn decode_payload(kind: FrameKind, payload: &[u8]) -> Result<Frame, DecodeError>
             };
             let n = c.u16()? as usize;
             for _ in 0..n {
-                let len = c.u16()? as usize;
-                let text = String::from_utf8(c.take(len)?.to_vec())
-                    .map_err(|_| DecodeError::Malformed("warning is not UTF-8".into()))?;
-                s.warnings.push(text);
+                s.warnings.push(c.text("warning")?);
             }
             Frame::StatusReply(s)
         }
@@ -565,16 +586,14 @@ fn decode_payload(kind: FrameKind, payload: &[u8]) -> Result<Frame, DecodeError>
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, DecodeError> {
     let mut header = [0u8; HEADER_LEN];
     // First byte by hand: zero bytes here is a clean close, not an error.
-    let mut first = [0u8; 1];
     loop {
-        match r.read(&mut first) {
+        match r.read(&mut header[..1]) {
             Ok(0) => return Ok(None),
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(DecodeError::Io(e)),
         }
     }
-    header[0] = first[0];
     r.read_exact(&mut header[1..])?;
 
     let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
@@ -725,6 +744,287 @@ mod tests {
     #[test]
     fn frame_goodbye_round_trips() {
         round_trip(Frame::Goodbye);
+    }
+
+    // -- the append-in-place encoder -------------------------------------------
+
+    /// The encoder as it stood before `encode_frame_into`: payload built in a
+    /// vector of its own, then copied behind a finished header. Kept here as
+    /// the reference that pins the wire bytes. It takes text that fits its
+    /// `u16` length only; over-long text is the char-boundary tests' subject.
+    fn parent_encode_frame(frame: &Frame) -> Vec<u8> {
+        fn text(payload: &mut Vec<u8>, s: &str) {
+            assert!(s.len() <= u16::MAX as usize, "reference encoder takes short text only");
+            put_u16(payload, s.len() as u16);
+            payload.extend_from_slice(s.as_bytes());
+        }
+        let mut payload = Vec::new();
+        let kind = match frame {
+            Frame::Hello { version } => {
+                put_u16(&mut payload, *version);
+                FrameKind::Hello
+            }
+            Frame::ServerHello { version, capabilities, vertex_count, object_count } => {
+                put_u16(&mut payload, *version);
+                payload.push(*capabilities);
+                put_u32(&mut payload, *vertex_count);
+                put_u32(&mut payload, *object_count);
+                FrameKind::ServerHello
+            }
+            Frame::Query { request_id, body } => {
+                put_u64(&mut payload, *request_id);
+                put_query_body(&mut payload, body);
+                FrameKind::Query
+            }
+            Frame::Batch { request_id, bodies } => {
+                put_u64(&mut payload, *request_id);
+                put_u32(&mut payload, bodies.len() as u32);
+                for b in bodies {
+                    put_query_body(&mut payload, b);
+                }
+                FrameKind::Batch
+            }
+            Frame::Response { request_id, sequence, answer } => {
+                put_u64(&mut payload, *request_id);
+                put_u32(&mut payload, *sequence);
+                put_answer_body(&mut payload, answer);
+                FrameKind::Response
+            }
+            Frame::Error { request_id, sequence, code, detail } => {
+                put_u64(&mut payload, *request_id);
+                put_u32(&mut payload, *sequence);
+                put_u16(&mut payload, *code);
+                text(&mut payload, detail);
+                FrameKind::Error
+            }
+            Frame::ServerBusy { request_id, sequence } => {
+                put_u64(&mut payload, *request_id);
+                put_u32(&mut payload, *sequence);
+                FrameKind::ServerBusy
+            }
+            Frame::Status => FrameKind::Status,
+            Frame::StatusReply(s) => {
+                put_u32(&mut payload, s.queue_depth);
+                put_u32(&mut payload, s.queue_capacity);
+                put_u64(&mut payload, s.queries_answered);
+                put_u64(&mut payload, s.busy_rejections);
+                put_u64(&mut payload, s.batches_drained);
+                put_u64(&mut payload, s.bodies_executed);
+                put_u16(&mut payload, s.warnings.len() as u16);
+                for w in &s.warnings {
+                    text(&mut payload, w);
+                }
+                FrameKind::StatusReply
+            }
+            Frame::Goodbye => FrameKind::Goodbye,
+        };
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        put_u32(&mut out, MAGIC);
+        put_u16(&mut out, VERSION);
+        out.push(kind as u8);
+        out.push(0); // flags
+        put_u32(&mut out, payload.len() as u32);
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// Deterministic pseudo-random frames of every kind.
+    struct FrameGen(u64);
+
+    impl FrameGen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 24
+        }
+
+        fn body(&mut self) -> QueryBody {
+            QueryBody {
+                algorithm: Algorithm::ALL[self.next() as usize % 8],
+                vertex: self.next() as u32,
+                k: self.next() as u32,
+            }
+        }
+
+        fn text(&mut self) -> String {
+            let n = self.next() as usize % 40;
+            (0..n).map(|_| ['a', 'é', '€', ' ', '𝄞'][self.next() as usize % 5]).collect()
+        }
+
+        fn frame(&mut self, kind: u64) -> Frame {
+            let (request_id, sequence) = ((self.next() << 17) | self.next(), self.next() as u32);
+            match kind % 10 {
+                0 => Frame::Hello { version: self.next() as u16 },
+                1 => Frame::ServerHello {
+                    version: self.next() as u16,
+                    capabilities: self.next() as u8,
+                    vertex_count: self.next() as u32,
+                    object_count: self.next() as u32,
+                },
+                2 => Frame::Query { request_id, body: self.body() },
+                3 => {
+                    let n = self.next() % 40;
+                    Frame::Batch { request_id, bodies: (0..n).map(|_| self.body()).collect() }
+                }
+                4 => {
+                    let (d, n) = (self.next() % 4, self.next() % 30);
+                    let answer = AnswerBody {
+                        algorithm: self.next() as u8,
+                        complete: self.next() % 2 == 0,
+                        degraded: (0..d).map(|_| self.next() as u32).collect(),
+                        neighbors: (0..n)
+                            .map(|_| WireNeighbor {
+                                object: self.next() as u32,
+                                vertex: self.next() as u32,
+                                lo_bits: (self.next() << 30) ^ self.next(),
+                                hi_bits: (self.next() << 30) ^ self.next(),
+                            })
+                            .collect(),
+                    };
+                    Frame::Response { request_id, sequence, answer }
+                }
+                5 => Frame::Error {
+                    request_id,
+                    sequence,
+                    code: self.next() as u16,
+                    detail: self.text(),
+                },
+                6 => Frame::ServerBusy { request_id, sequence },
+                7 => Frame::Status,
+                8 => Frame::StatusReply(StatusReply {
+                    queue_depth: self.next() as u32,
+                    queue_capacity: self.next() as u32,
+                    queries_answered: self.next(),
+                    busy_rejections: self.next(),
+                    batches_drained: self.next(),
+                    bodies_executed: self.next(),
+                    warnings: (0..self.next() % 3).map(|_| self.text()).collect(),
+                }),
+                _ => Frame::Goodbye,
+            }
+        }
+    }
+
+    #[test]
+    fn encode_frame_into_appends_the_parent_format_bytes_for_every_kind_and_sequence() {
+        let mut gen = FrameGen(0x51_1C);
+        // Every kind in turn first, then 300 frames of random kinds — all
+        // appended to ONE buffer that already holds foreign bytes.
+        let frames: Vec<Frame> = (0..310)
+            .map(|i| {
+                let kind = if i < 10 { i } else { gen.next() };
+                gen.frame(kind)
+            })
+            .collect();
+        let mut buf = b"already here".to_vec();
+        let mut want = buf.clone();
+        for f in &frames {
+            let image = parent_encode_frame(f);
+            assert_eq!(encode_frame(f), image, "one frame, fresh vector: {f:?}");
+            encode_frame_into(&mut buf, f);
+            want.extend_from_slice(&image);
+            assert_eq!(buf.len(), want.len(), "appended length of {f:?}");
+        }
+        assert_eq!(buf, want, "appending must not disturb what the buffer held");
+
+        // And the stream decodes back frame by frame, ending on a clean EOF.
+        let mut stream = &buf[b"already here".len()..];
+        for f in &frames {
+            assert_eq!(&read_frame(&mut stream).unwrap().unwrap(), f);
+        }
+        assert!(read_frame(&mut stream).unwrap().is_none());
+
+        // write_frame is the same bytes again.
+        let mut written = Vec::new();
+        write_frame(&mut written, &frames[4]).unwrap();
+        assert_eq!(written, parent_encode_frame(&frames[4]));
+    }
+
+    /// 70 000 bytes whose char boundaries sit at 1 + 3j: byte 65 535 is
+    /// inside a character.
+    fn long_text() -> String {
+        let text = format!("x{}", "€".repeat(23_333));
+        assert_eq!(text.len(), 70_000);
+        assert!(!text.is_char_boundary(u16::MAX as usize));
+        text
+    }
+
+    #[test]
+    fn frame_error_detail_is_cut_at_a_char_boundary() {
+        let sent = Frame::Error { request_id: 4, sequence: 2, code: 10, detail: long_text() };
+        let bytes = encode_frame(&sent);
+        match read_frame(&mut &bytes[..]).expect("the server's own frame must decode").unwrap() {
+            Frame::Error { request_id: 4, sequence: 2, code: 10, detail } => {
+                assert_eq!(detail.len(), 65_533, "the last boundary at or under u16::MAX");
+                assert!(long_text().starts_with(&detail));
+            }
+            other => panic!("decoded {other:?}"),
+        }
+        // Text that fits is not touched, at the limit either.
+        let exact = "€".repeat(21_845);
+        assert_eq!(exact.len(), u16::MAX as usize);
+        round_trip(Frame::Error { request_id: 1, sequence: 0, code: 4, detail: exact });
+    }
+
+    #[test]
+    fn frame_status_reply_warnings_are_cut_at_a_char_boundary() {
+        let sent = Frame::StatusReply(StatusReply {
+            queue_capacity: 8,
+            warnings: vec!["short".into(), long_text(), "after".into()],
+            ..Default::default()
+        });
+        let bytes = encode_frame(&sent);
+        match read_frame(&mut &bytes[..]).expect("the server's own frame must decode").unwrap() {
+            Frame::StatusReply(s) => {
+                assert_eq!(s.queue_capacity, 8);
+                assert_eq!(s.warnings.len(), 3);
+                assert_eq!(s.warnings[0], "short");
+                assert_eq!(s.warnings[1].len(), 65_533);
+                assert!(long_text().starts_with(&s.warnings[1]));
+                assert_eq!(s.warnings[2], "after", "the cut must not desynchronise what follows");
+            }
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frame_response_size_limit_is_what_response_fits_says() {
+        let response = |neighbors: usize, degraded: usize| Frame::Response {
+            request_id: 1,
+            sequence: 0,
+            answer: AnswerBody {
+                algorithm: Algorithm::Routed as u8,
+                complete: degraded == 0,
+                degraded: vec![7; degraded],
+                neighbors: vec![
+                    WireNeighbor { object: 1, vertex: 2, lo_bits: 3, hi_bits: 4 };
+                    neighbors
+                ],
+            },
+        };
+        // ⌊(MAX_FRAME_LEN − 20) / 24⌋ neighbors is the most one frame holds.
+        let most = (MAX_FRAME_LEN as usize - 20) / 24;
+        assert_eq!(most, 43_689);
+        assert!(response_fits(most - 1, 0));
+        assert!(response_fits(most, 0));
+        assert!(!response_fits(most + 1, 0));
+        // Degraded shard ids eat into the 20 spare bytes, then into a neighbor.
+        assert!(response_fits(most, 5));
+        assert!(!response_fits(most, 6));
+        assert!(response_fits(most - 1, 6));
+        assert!(response_fits(0, u16::MAX as usize));
+        assert!(!response_fits(usize::MAX / 32, 0), "no overflow on absurd counts");
+
+        // The helper agrees with the encoder and the decoder on both sides
+        // of the limit: what fits round-trips, what does not is fatal.
+        for (n, d) in [(most, 0), (most, 5), (most - 1, 6)] {
+            let bytes = encode_frame(&response(n, d));
+            assert!(bytes.len() - HEADER_LEN <= MAX_FRAME_LEN as usize);
+            assert_eq!(read_frame(&mut &bytes[..]).unwrap().unwrap(), response(n, d));
+        }
+        for (n, d) in [(most + 1, 0), (most, 6)] {
+            let bytes = encode_frame(&response(n, d));
+            assert!(matches!(read_frame(&mut &bytes[..]), Err(DecodeError::FrameTooLarge(_))));
+        }
     }
 
     // -- decode failure paths ------------------------------------------------

@@ -9,13 +9,19 @@
 //! * **Connection threads** — own the socket's read half and a
 //!   `SessionSet` (a `QuerySession`, plus a routing session when the
 //!   backend has one). `QUERY` frames execute inline on this session;
-//!   `BATCH` bodies are submitted to the shared queue. All writes to the
-//!   socket go through a mutex-guarded `ConnWriter`, one whole frame per
-//!   lock hold, so executor replies and inline replies never interleave
-//!   partial frames.
+//!   the bodies of a `BATCH` frame are submitted to the shared queue
+//!   together. All writes to the socket go through a mutex-guarded
+//!   `ConnWriter`, one or more whole frames per lock hold and never part of
+//!   one, so executor replies and inline replies never interleave partial
+//!   frames.
 //! * **Executor threads** — each owns its *own* `SessionSet`; they block
 //!   on the queue, drain up to [`ServerConfig::max_batch`] jobs, order the
 //!   batch ([`BatchOrder`]), execute, and reply through each job's writer.
+//!   Replies are encoded into one per-executor buffer and written once per
+//!   run of consecutive jobs of one request: the buffer is flushed as soon
+//!   as the next job belongs to another request or the drain ends, so a
+//!   `BATCH` costs its client one wake-up and no reply waits for another
+//!   request's execution.
 //!
 //! Every query answered by any thread is bit-identical to a local
 //! [`QuerySession`] run: the sessions *are* local sessions, and the wire
@@ -26,14 +32,14 @@ use crate::protocol::{
     self, Algorithm, AnswerBody, ErrorCode, Frame, QueryBody, StatusReply, WireNeighbor,
     CAP_APPROX, CAP_ROUTED, VERSION,
 };
-use silc::{DistanceBrowser, QueryError};
+use silc::{DistInterval, DistanceBrowser, QueryError};
 use silc_morton::MortonCode;
 use silc_network::VertexId;
 use silc_query::{
-    ApproxDistanceOracle, KnnResult, KnnVariant, QueryEngine, QuerySession, Routable, RoutedAnswer,
+    ApproxDistanceOracle, KnnVariant, ObjectId, QueryEngine, QuerySession, Routable, RoutedAnswer,
     RoutingSession,
 };
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -93,19 +99,28 @@ struct ServerStats {
     bodies_executed: AtomicU64,
 }
 
-/// The socket's write half behind a mutex: one whole frame per lock hold.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
+/// Most bytes of encoded replies an executor holds back for one write.
+const FLUSH_BYTES: usize = 64 << 10;
+
+/// The socket's write half behind a mutex: whole frames per lock hold.
+/// Generic so the run law is testable on an in-memory sink.
+struct ConnWriter<W = TcpStream> {
+    stream: Mutex<W>,
+}
+
+impl<W: Write> ConnWriter<W> {
+    /// Writes whole encoded frames with one `write_all`. Errors are dropped:
+    /// a dead client is owed nothing, and its reader thread notices.
+    fn send_bytes(&self, frames: &[u8]) {
+        let _ = self.stream.lock().unwrap().write_all(frames);
+    }
+
+    fn send(&self, frame: &Frame) {
+        self.send_bytes(&protocol::encode_frame(frame));
+    }
 }
 
 impl ConnWriter {
-    /// Writes one frame; errors are swallowed — a dead client's replies
-    /// have nowhere to go, and its reader thread notices independently.
-    fn send(&self, frame: &Frame) {
-        let mut s = self.stream.lock().unwrap();
-        let _ = protocol::write_frame(&mut *s, frame);
-    }
-
     /// Tears the socket down (both halves), unblocking the reader thread.
     fn kill(&self) {
         let s = self.stream.lock().unwrap();
@@ -182,37 +197,23 @@ impl SessionSet {
     }
 }
 
-fn answer_from_knn(algorithm: Algorithm, r: &KnnResult) -> AnswerBody {
+/// The wire form of an answer, from either session kind's neighbor type.
+fn answer_body(
+    algorithm: Algorithm,
+    complete: bool,
+    degraded: &[u32],
+    neighbors: impl Iterator<Item = (ObjectId, VertexId, DistInterval)>,
+) -> AnswerBody {
     AnswerBody {
         algorithm: algorithm as u8,
-        complete: true,
-        degraded: Vec::new(),
-        neighbors: r
-            .neighbors
-            .iter()
-            .map(|n| WireNeighbor {
-                object: n.object.0,
-                vertex: n.vertex.0,
-                lo_bits: n.interval.lo.to_bits(),
-                hi_bits: n.interval.hi.to_bits(),
-            })
-            .collect(),
-    }
-}
-
-fn answer_from_routed(algorithm: Algorithm, r: &RoutedAnswer) -> AnswerBody {
-    AnswerBody {
-        algorithm: algorithm as u8,
-        complete: r.complete,
-        degraded: r.degraded.clone(),
-        neighbors: r
-            .neighbors
-            .iter()
-            .map(|n| WireNeighbor {
-                object: n.object.0,
-                vertex: n.vertex.0,
-                lo_bits: n.interval.lo.to_bits(),
-                hi_bits: n.interval.hi.to_bits(),
+        complete,
+        degraded: degraded.to_vec(),
+        neighbors: neighbors
+            .map(|(object, vertex, interval)| WireNeighbor {
+                object: object.0,
+                vertex: vertex.0,
+                lo_bits: interval.lo.to_bits(),
+                hi_bits: interval.hi.to_bits(),
             })
             .collect(),
     }
@@ -223,6 +224,14 @@ fn query_error_reply(e: QueryError) -> (ErrorCode, String) {
         QueryError::Io(_) => (ErrorCode::QueryIo, e.to_string()),
         QueryError::Corrupt { .. } => (ErrorCode::QueryCorrupt, e.to_string()),
     }
+}
+
+/// `BAD_K` for an answer the client could only reject, fatally, as too large.
+fn check_fits(neighbors: usize, degraded: usize) -> Result<(), (ErrorCode, String)> {
+    if protocol::response_fits(neighbors, degraded) {
+        return Ok(());
+    }
+    Err((ErrorCode::BadK, format!("an answer of {neighbors} neighbors cannot fit one frame")))
 }
 
 /// Validates and executes one query body on `set`, against `shared`'s
@@ -242,66 +251,71 @@ fn execute(
     }
     let q = VertexId(body.vertex);
     let k = body.k as usize;
+    // Refused before any work is spent on it.
+    check_fits(k.min(shared.backend.engine.objects().len()), 0)?;
     let algo = body.algorithm;
-    match algo {
-        Algorithm::Knn | Algorithm::KnnI | Algorithm::KnnM => {
-            let variant = match algo {
-                Algorithm::Knn => KnnVariant::Basic,
-                Algorithm::KnnI => KnnVariant::EarlyEstimate,
-                _ => KnnVariant::MinDist,
-            };
-            let r = set.exact.try_knn(q, k, variant).map_err(query_error_reply)?;
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Inn => {
-            let r = set.exact.try_inn(q, k).map_err(query_error_reply)?;
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Ine => {
-            let r = set.exact.ine(q, k);
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Ier => {
-            let r = set.exact.ier(q, k);
-            Ok(answer_from_knn(algo, r))
-        }
-        Algorithm::Routed => match set.routed.as_mut() {
-            Some(routed) => {
-                routed.try_knn(q, k, &mut set.routed_answer).map_err(query_error_reply)?;
-                Ok(answer_from_routed(algo, &set.routed_answer))
-            }
-            None => Err((ErrorCode::Unavailable, "no partitioned backend configured".into())),
-        },
+    let unavailable = |what: &str| (ErrorCode::Unavailable, format!("no {what} configured"));
+    let r = match algo {
+        Algorithm::Knn => set.exact.try_knn(q, k, KnnVariant::Basic),
+        Algorithm::KnnI => set.exact.try_knn(q, k, KnnVariant::EarlyEstimate),
+        Algorithm::KnnM => set.exact.try_knn(q, k, KnnVariant::MinDist),
+        Algorithm::Inn => set.exact.try_inn(q, k),
+        Algorithm::Ine => Ok(set.exact.ine(q, k)),
+        Algorithm::Ier => Ok(set.exact.ier(q, k)),
         Algorithm::Approx => match shared.backend.oracle.as_deref() {
-            Some(oracle) => {
-                let r = set.exact.try_approx_knn(oracle, q, k).map_err(query_error_reply)?;
-                Ok(answer_from_knn(algo, r))
-            }
-            None => Err((ErrorCode::Unavailable, "no approximate oracle configured".into())),
+            Some(oracle) => set.exact.try_approx_knn(oracle, q, k),
+            None => return Err(unavailable("approximate oracle")),
         },
+        Algorithm::Routed => {
+            let routed = set.routed.as_mut().ok_or_else(|| unavailable("partitioned backend"))?;
+            let a = &mut set.routed_answer;
+            routed.try_knn(q, k, a).map_err(query_error_reply)?;
+            // The router's object set is its own, and degraded shard ids
+            // take room too: only the answer itself settles whether it fits.
+            check_fits(a.neighbors.len(), a.degraded.len())?;
+            let neighbors = a.neighbors.iter().map(|n| (n.object, n.vertex, n.interval));
+            return Ok(answer_body(algo, a.complete, &a.degraded, neighbors));
+        }
+    }
+    .map_err(query_error_reply)?;
+    Ok(answer_body(algo, true, &[], r.neighbors.iter().map(|n| (n.object, n.vertex, n.interval))))
+}
+
+/// Executes one body into its reply frame — `RESPONSE` or `ERROR` — with
+/// the success accounting. Inline `QUERY`s and executor jobs both end here.
+fn reply_to(
+    shared: &Shared,
+    set: &mut SessionSet,
+    request_id: u64,
+    sequence: u32,
+    body: &QueryBody,
+) -> Frame {
+    match execute(shared, set, body) {
+        Ok(answer) => {
+            shared.stats.queries_answered.fetch_add(1, Ordering::Relaxed);
+            Frame::Response { request_id, sequence, answer }
+        }
+        Err((code, detail)) => Frame::Error { request_id, sequence, code: code as u16, detail },
     }
 }
 
-/// Executes one job and replies through its writer. Shared by nothing but
-/// the executor loop, but split out so the success/error accounting reads
-/// straight-line.
-fn run_job(shared: &Shared, set: &mut SessionSet, job: &Job<Arc<ConnWriter>>) {
-    match execute(shared, set, &job.body) {
-        Ok(answer) => {
-            shared.stats.queries_answered.fetch_add(1, Ordering::Relaxed);
-            job.reply.send(&Frame::Response {
-                request_id: job.request_id,
-                sequence: job.sequence,
-                answer,
-            });
-        }
-        Err((code, detail)) => {
-            job.reply.send(&Frame::Error {
-                request_id: job.request_id,
-                sequence: job.sequence,
-                code: code as u16,
-                detail,
-            });
+/// Runs `batch` in order, encoding each job's reply into `buf` and writing
+/// once per maximal run of consecutive jobs that share a connection and a
+/// request id: the run is flushed when the next job belongs elsewhere, when
+/// the batch ends, or when it has grown past [`FLUSH_BYTES`].
+fn reply_in_runs<W: Write>(
+    batch: &[Job<Arc<ConnWriter<W>>>],
+    buf: &mut Vec<u8>,
+    mut run: impl FnMut(&Job<Arc<ConnWriter<W>>>) -> Frame,
+) {
+    for (i, job) in batch.iter().enumerate() {
+        protocol::encode_frame_into(buf, &run(job));
+        let run_goes_on = batch.get(i + 1).is_some_and(|next| {
+            next.request_id == job.request_id && Arc::ptr_eq(&next.reply, &job.reply)
+        });
+        if !run_goes_on || buf.len() >= FLUSH_BYTES {
+            job.reply.send_bytes(buf);
+            buf.clear();
         }
     }
 }
@@ -309,68 +323,57 @@ fn run_job(shared: &Shared, set: &mut SessionSet, job: &Job<Arc<ConnWriter>>) {
 fn executor_loop(shared: Arc<Shared>) {
     let mut set = SessionSet::new(&shared.backend);
     let mut batch: Vec<Job<Arc<ConnWriter>>> = Vec::with_capacity(shared.cfg.max_batch);
+    let mut buf = Vec::new();
     while shared.queue.drain(shared.cfg.max_batch, &mut batch) {
         shared.stats.batches_drained.fetch_add(1, Ordering::Relaxed);
         shared.stats.bodies_executed.fetch_add(batch.len() as u64, Ordering::Relaxed);
         order_batch(&mut batch, shared.cfg.order);
-        for job in &batch {
-            run_job(&shared, &mut set, job);
-        }
+        reply_in_runs(&batch, &mut buf, |job| {
+            reply_to(&shared, &mut set, job.request_id, job.sequence, &job.body)
+        });
         batch.clear();
     }
 }
 
-/// Outcome of one handled frame: keep the connection or close it.
-enum Flow {
-    Continue,
-    Close,
+/// A connection-level `ERROR`: no request id or sequence applies.
+fn conn_error(code: ErrorCode, detail: impl Into<String>) -> Frame {
+    Frame::Error { request_id: 0, sequence: 0, code: code as u16, detail: detail.into() }
 }
 
+/// Handles one frame; `false` when the connection is to be closed.
 fn handle_frame(
     shared: &Shared,
     set: &mut SessionSet,
     writer: &Arc<ConnWriter>,
     frame: Frame,
-) -> Flow {
+) -> bool {
     match frame {
         Frame::Query { request_id, body } => {
-            match execute(shared, set, &body) {
-                Ok(answer) => {
-                    shared.stats.queries_answered.fetch_add(1, Ordering::Relaxed);
-                    writer.send(&Frame::Response { request_id, sequence: 0, answer });
-                }
-                Err((code, detail)) => {
-                    writer.send(&Frame::Error {
-                        request_id,
-                        sequence: 0,
-                        code: code as u16,
-                        detail,
-                    });
-                }
-            }
-            Flow::Continue
+            writer.send(&reply_to(shared, set, request_id, 0, &body));
         }
         Frame::Batch { request_id, bodies } => {
-            for (i, body) in bodies.into_iter().enumerate() {
-                let job = Job {
+            let mut jobs: Vec<_> = (0u32..)
+                .zip(bodies)
+                .map(|(sequence, body)| Job {
                     reply: Arc::clone(writer),
                     request_id,
-                    sequence: i as u32,
+                    sequence,
                     body,
                     morton: shared.morton_of(body.vertex),
-                };
-                if shared.queue.try_submit(job).is_err() {
-                    shared.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    writer.send(&Frame::ServerBusy { request_id, sequence: i as u32 });
-                }
+                })
+                .collect();
+            shared.queue.try_submit_all(&mut jobs);
+            // What did not fit bounces, in one write.
+            if !jobs.is_empty() {
+                shared.stats.busy_rejections.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+                reply_in_runs(&jobs, &mut Vec::new(), |job| Frame::ServerBusy {
+                    request_id,
+                    sequence: job.sequence,
+                });
             }
-            Flow::Continue
         }
-        Frame::Status => {
-            writer.send(&Frame::StatusReply(shared.status()));
-            Flow::Continue
-        }
-        Frame::Goodbye => Flow::Close,
+        Frame::Status => writer.send(&Frame::StatusReply(shared.status())),
+        Frame::Goodbye => return false,
         // Client resending HELLO, or speaking server-direction frames:
         // protocol-order violation — MALFORMED, closed (see spec).
         Frame::Hello { .. }
@@ -379,15 +382,11 @@ fn handle_frame(
         | Frame::Error { .. }
         | Frame::ServerBusy { .. }
         | Frame::StatusReply(_) => {
-            writer.send(&Frame::Error {
-                request_id: 0,
-                sequence: 0,
-                code: ErrorCode::Malformed as u16,
-                detail: "protocol-order violation".into(),
-            });
-            Flow::Close
+            writer.send(&conn_error(ErrorCode::Malformed, "protocol-order violation"));
+            return false;
         }
     }
+    true
 }
 
 fn connection_loop(shared: Arc<Shared>, mut stream: TcpStream, writer: Arc<ConnWriter>) {
@@ -402,32 +401,18 @@ fn connection_loop(shared: Arc<Shared>, mut stream: TcpStream, writer: Arc<ConnW
             });
         }
         Ok(Some(Frame::Hello { .. })) => {
-            writer.send(&Frame::Error {
-                request_id: 0,
-                sequence: 0,
-                code: ErrorCode::UnsupportedVersion as u16,
-                detail: format!("server speaks version {VERSION}"),
-            });
+            let detail = format!("server speaks version {VERSION}");
+            writer.send(&conn_error(ErrorCode::UnsupportedVersion, detail));
             return;
         }
         Ok(Some(_)) => {
-            writer.send(&Frame::Error {
-                request_id: 0,
-                sequence: 0,
-                code: ErrorCode::Malformed as u16,
-                detail: "expected HELLO first".into(),
-            });
+            writer.send(&conn_error(ErrorCode::Malformed, "expected HELLO first"));
             return;
         }
         Ok(None) => return,
         Err(e) => {
             if let Some((code, _)) = e.wire_reply() {
-                writer.send(&Frame::Error {
-                    request_id: 0,
-                    sequence: 0,
-                    code: code as u16,
-                    detail: e.to_string(),
-                });
+                writer.send(&conn_error(code, e.to_string()));
             }
             return;
         }
@@ -439,22 +424,18 @@ fn connection_loop(shared: Arc<Shared>, mut stream: TcpStream, writer: Arc<ConnW
             return;
         }
         match protocol::read_frame(&mut stream) {
-            Ok(Some(frame)) => match handle_frame(&shared, &mut set, &writer, frame) {
-                Flow::Continue => {}
-                Flow::Close => return,
-            },
+            Ok(Some(frame)) => {
+                if !handle_frame(&shared, &mut set, &writer, frame) {
+                    return;
+                }
+            }
             // Clean close, truncation, reset: nothing is owed. The spec's
             // "MUST NOT panic or hang" for mid-request disconnects is this
             // arm — the thread just winds down.
             Ok(None) => return,
             Err(e) => match e.wire_reply() {
                 Some((code, keep)) => {
-                    writer.send(&Frame::Error {
-                        request_id: 0,
-                        sequence: 0,
-                        code: code as u16,
-                        detail: e.to_string(),
-                    });
+                    writer.send(&conn_error(code, e.to_string()));
                     if !keep {
                         return;
                     }
@@ -519,12 +500,13 @@ impl Server {
         self.shared.status()
     }
 
-    /// Stops accepting, closes every connection, drains the executors.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
+    /// Stops accepting, closes every connection, drains the executors —
+    /// what dropping the server does.
+    pub fn shutdown(self) {}
+}
 
-    fn stop(&mut self) {
+impl Drop for Server {
+    fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.queue.close();
         for w in self.shared.writers.lock().unwrap().drain(..) {
@@ -539,21 +521,18 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     let mut conn_threads = Vec::new();
     while !shared.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let writer = match stream.try_clone() {
-                    Ok(w) => Arc::new(ConnWriter { stream: Mutex::new(w) }),
-                    Err(_) => continue,
+                // TCP_NODELAY: replies are small and waited on, and Nagle
+                // holds every write after the first for the peer's delayed
+                // ACK (≈ 40 ms). The client sets it too.
+                let Ok(w) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
+                    continue;
                 };
+                let writer = Arc::new(ConnWriter { stream: Mutex::new(w) });
                 shared.writers.lock().unwrap().push(Arc::clone(&writer));
                 let shared = Arc::clone(&shared);
                 conn_threads.push(std::thread::spawn(move || {
@@ -576,5 +555,111 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     }
     for h in conn_threads {
         let _ = h.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What every sink of one test wrote, in order: `(sink, bytes of one
+    /// write call)`.
+    type Log = Arc<Mutex<Vec<(char, Vec<u8>)>>>;
+
+    /// An in-memory reply channel that takes whatever one `write` offers,
+    /// so one `write_all` is one logged call.
+    struct Sink(char, Log);
+
+    impl Write for Sink {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.1.lock().unwrap().push((self.0, bytes.to_vec()));
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn sink(name: char, log: &Log) -> Arc<ConnWriter<Sink>> {
+        Arc::new(ConnWriter { stream: Mutex::new(Sink(name, Arc::clone(log))) })
+    }
+
+    fn job<W>(
+        reply: &Arc<ConnWriter<W>>,
+        request_id: u64,
+        sequence: u32,
+    ) -> Job<Arc<ConnWriter<W>>> {
+        let body = QueryBody { algorithm: Algorithm::Knn, vertex: sequence, k: 1 };
+        Job { reply: Arc::clone(reply), request_id, sequence, body, morton: 0 }
+    }
+
+    /// A reply of `neighbors` neighbors — or an `ERROR` for sequence 1 of
+    /// request 1, the job that "fails".
+    fn reply<R>(job: &Job<R>, neighbors: usize) -> Frame {
+        let (request_id, sequence) = (job.request_id, job.sequence);
+        if (request_id, sequence) == (1, 1) {
+            return Frame::Error { request_id, sequence, code: 7, detail: "bad vertex".into() };
+        }
+        let n = WireNeighbor { object: sequence, vertex: 9, lo_bits: request_id, hi_bits: 1 };
+        let answer = AnswerBody {
+            algorithm: 0,
+            complete: true,
+            degraded: vec![],
+            neighbors: vec![n; neighbors],
+        };
+        Frame::Response { request_id, sequence, answer }
+    }
+
+    #[test]
+    fn executor_writes_once_per_run_of_jobs_sharing_connection_and_request() {
+        let log = Log::default();
+        let (a, b) = (sink('A', &log), sink('B', &log));
+        // [A·req1, A·req1 (fails), A·req1, B·req7, A·req2] in execution order.
+        let batch = [job(&a, 1, 0), job(&a, 1, 1), job(&a, 1, 2), job(&b, 7, 0), job(&a, 2, 0)];
+        let mut buf = Vec::new();
+        reply_in_runs(&batch, &mut buf, |job| reply(job, 3));
+        assert!(buf.is_empty(), "nothing is held back once the drain ends");
+
+        let per_frame: Vec<Vec<u8>> =
+            batch.iter().map(|job| protocol::encode_frame(&reply(job, 3))).collect();
+        let log = log.lock().unwrap();
+        let want = [
+            ('A', per_frame[..3].concat()), // the ERROR rides in its run
+            ('B', per_frame[3].clone()),
+            ('A', per_frame[4].clone()),
+        ];
+        assert_eq!(*log, want, "three writes, in execution order");
+
+        // Same request id on another connection is another run.
+        drop(log);
+        let log = Log::default();
+        let (a, b) = (sink('A', &log), sink('B', &log));
+        reply_in_runs(&[job(&a, 5, 0), job(&b, 5, 0)], &mut buf, |job| reply(job, 1));
+        assert_eq!(log.lock().unwrap().iter().map(|w| w.0).collect::<String>(), "AB");
+    }
+
+    #[test]
+    fn a_long_run_is_flushed_at_frame_boundaries_before_it_ends() {
+        let log = Log::default();
+        let a = sink('A', &log);
+        // ≈ 29 KiB a reply: the third one takes the run past FLUSH_BYTES.
+        let batch: Vec<_> = (0..7).map(|i| job(&a, 3, i)).collect();
+        let mut buf = Vec::new();
+        reply_in_runs(&batch, &mut buf, |job| reply(job, 1200));
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 3, "3 + 3 + 1 frames");
+        let mut sequences = Vec::new();
+        for (_, bytes) in log.iter() {
+            assert!(bytes.len() < FLUSH_BYTES + (30 << 10), "held back: {}", bytes.len());
+            let mut stream = &bytes[..];
+            while let Some(frame) = protocol::read_frame(&mut stream).expect("whole frames only") {
+                match frame {
+                    Frame::Response { sequence, .. } => sequences.push(sequence),
+                    other => panic!("decoded {other:?}"),
+                }
+            }
+        }
+        assert_eq!(sequences, (0..7).collect::<Vec<_>>());
     }
 }

@@ -7,6 +7,8 @@
 //! * Mid-request disconnects leave the server healthy.
 //! * Flooding a tiny submission queue engages `SERVER_BUSY` backpressure
 //!   and every body is accounted for (answered + busy == sent).
+//! * A closed-loop `BATCH` round trip does not wait on Nagle's algorithm
+//!   and the client's delayed-ACK timer.
 
 use silc::partitioned::{PartitionedBuildConfig, PartitionedSilcIndex};
 use silc::{BuildConfig, SilcIndex};
@@ -22,6 +24,7 @@ use silc_server::{
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn fixture(
     vertices: usize,
@@ -180,6 +183,39 @@ fn flood_engages_backpressure_and_accounts_for_every_body() {
     let status = client.status().unwrap();
     assert_eq!(status.busy_rejections, busy as u64);
     assert_eq!(status.queue_capacity, 2);
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn batch_round_trip_does_not_stall_on_nagle_and_delayed_ack() {
+    // 32 small RESPONSE frames per round trip. Written one by one on a
+    // socket with Nagle on, the second waits for an ACK the client's
+    // delayed-ACK timer holds for ≈ 40 ms — a 44 ms round trip for well
+    // under 1 ms of work. The median keeps a descheduled run or two of
+    // this sandbox from failing the test.
+    let (_, engine, _) = fixture(150, 7);
+    let server =
+        Server::start("127.0.0.1:0", exact_only_backend(&engine), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let bodies: Vec<QueryBody> = (0..32)
+        .map(|i| QueryBody { algorithm: Algorithm::Knn, vertex: (i * 11) % 150, k: 10 })
+        .collect();
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let outcomes = client.batch(&bodies).unwrap();
+            assert!(outcomes.iter().all(|o| matches!(o, Outcome::Answer(_))));
+            t.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(20), "median BATCH-32 round trip {median:?}");
+
+    // The whole batch reached the executor in one drain.
+    let status = client.status().unwrap();
+    assert_eq!((status.batches_drained, status.bodies_executed), (20, 640));
     client.goodbye().unwrap();
     server.shutdown();
 }

@@ -3,7 +3,9 @@
 //! query performs **zero** heap allocations — the hot path is pure reuse.
 //!
 //! The same counter locks the disk read path's contract: an entry-cache
-//! miss served from pooled pages allocates the decoded list and nothing else.
+//! miss served from pooled pages allocates the decoded list and nothing
+//! else — and the serving tier's: encoding a reply into a buffer that has
+//! held one before allocates nothing.
 //!
 //! The whole test binary runs under a counting global allocator with
 //! per-thread counters (so the harness's own threads cannot contaminate a
@@ -134,6 +136,41 @@ fn steady_state_workload_stops_allocating() {
     }
     let allocated = allocations_on_this_thread() - before;
     assert_eq!(allocated, 0, "a repeated query pass must run allocation-free");
+}
+
+#[test]
+fn encoding_a_response_into_a_warmed_buffer_allocates_nothing() {
+    use silc_server::protocol::{encode_frame, encode_frame_into, WireNeighbor};
+    use silc_server::{AnswerBody, Frame};
+    let neighbor = WireNeighbor { object: 1, vertex: 2, lo_bits: 3, hi_bits: 4 };
+    let answer = AnswerBody {
+        algorithm: 0,
+        complete: true,
+        degraded: vec![5],
+        neighbors: vec![neighbor; 10],
+    };
+    let frame = Frame::Response { request_id: 9, sequence: 3, answer };
+
+    // The executor's pattern: fill, write, clear — 32 replies to a run.
+    let mut buf = Vec::new();
+    for _ in 0..32 {
+        encode_frame_into(&mut buf, &frame);
+    }
+    let warmed = buf.clone();
+    buf.clear();
+    let before = allocations_on_this_thread();
+    for _ in 0..32 {
+        encode_frame_into(&mut buf, &frame);
+    }
+    let allocated = allocations_on_this_thread() - before;
+    assert_eq!(buf, warmed);
+    assert_eq!(allocated, 0, "a warmed reply buffer must encode without allocating");
+
+    // The fresh-vector wrapper cannot be free — the counter is live here too.
+    let before = allocations_on_this_thread();
+    let one = encode_frame(&frame);
+    assert!(allocations_on_this_thread() > before);
+    assert_eq!(one[..], warmed[..one.len()]);
 }
 
 #[test]
