@@ -134,15 +134,17 @@ bench-check:
 # CI smoke for the repository benchmark (BENCHMARK.json, benchmark/ — the
 # one every performance claim cites): all four workloads, traced and
 # untraced, at tiny sizes with 1 s windows; bounds are not applied, answers
-# are still checked. Builds into benchmark/target/.
+# are still checked. Builds into benchmark/target/. `--locked` (here and in
+# benchmark-test): a product change that would make Cargo rewrite
+# benchmark/Cargo.lock fails instead of quietly editing it.
 benchmark-smoke:
-	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+	cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- --smoke
 
 # The harness's own unit tests (percentiles, the answer checks, the trace
 # breakdown, the ladder verdict). benchmark/ is outside the workspace, so
 # `cargo test` at the root never runs them.
 benchmark-test:
-	cargo test --offline --manifest-path benchmark/Cargo.toml
+	cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Rustdoc with warnings denied — keeps the crate-level docs from rotting.
 docs:

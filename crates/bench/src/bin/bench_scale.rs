@@ -121,13 +121,9 @@ struct SizeResult {
     projected_single_s: f64,
     speedup_vs_projected: f64,
     bytes_total: u64,
-    /// Sum of the shards' compressed (v3 delta+varint) entry regions, as
+    /// Sum of the shards' compressed (delta+varint) entry regions, as
     /// stored on disk.
     entry_bytes: u64,
-    /// The same entry counts at the fixed 19-byte v2 record width — the
-    /// arithmetic projection of what the uncompressed format would occupy
-    /// (no second build; entry counts come from the opened shards).
-    entry_bytes_fixed: u64,
     /// On-disk size of the frontier-distance tier (exact cross-shard
     /// routing artifact), reported separately from the shard indexes.
     frontier_bytes: u64,
@@ -211,20 +207,14 @@ fn run_size(
     let ratio = n as f64 / base_n as f64;
     let projected_single_s = base_s * ratio * ratio;
     let part = index.partition();
-    // Bytes-on-disk of the compressed entry regions against the fixed
-    // 19-byte-record projection — the scale-level compression measurement
-    // (computed arithmetically from the opened shards' entry counts, no
-    // second build).
+    // Bytes-on-disk of the compressed entry regions.
     let entry_bytes: u64 =
         (0..index.shard_count()).map(|s| index.shard_index(s).entry_region_bytes()).sum();
-    let entry_bytes_fixed: u64 = (0..index.shard_count())
-        .map(|s| index.shard_index(s).entry_count() * silc::disk::ENTRY_BYTES as u64)
-        .sum();
     let timings = index.build_timings().expect("fresh build records timings");
     eprintln!(
         "# built {} shards in {build_s:.2}s (shard loop {:.2}s + frontier tier {:.2}s; \
-         {} cut edges, {} bytes + {} tier bytes, entry regions {} B \
-         vs {} B fixed-width = {:.1} %); projected single-index build {projected_single_s:.1}s",
+         {} cut edges, {} bytes + {} tier bytes, entry regions {} B); \
+         projected single-index build {projected_single_s:.1}s",
         part.shard_count(),
         timings.shards_s,
         timings.frontier_s,
@@ -232,8 +222,6 @@ fn run_size(
         index.total_bytes(),
         index.frontier_bytes(),
         entry_bytes,
-        entry_bytes_fixed,
-        100.0 * entry_bytes as f64 / entry_bytes_fixed.max(1) as f64,
     );
 
     let objects = Arc::new(ObjectSet::random(&network, w.density, args.seed ^ 0xBA5E));
@@ -281,7 +269,6 @@ fn run_size(
         speedup_vs_projected: projected_single_s / build_s,
         bytes_total: index.total_bytes(),
         entry_bytes,
-        entry_bytes_fixed,
         frontier_bytes: index.frontier_bytes(),
         shard_build_s: timings.shards_s,
         frontier_build_s: timings.frontier_s,
@@ -382,7 +369,7 @@ fn main() {
             "    {{\"vertices\": {}, \"shards\": {}, \"cut_edges\": {}, \
              \"frontier_vertices\": {}, \"fmi_roundtrip_s\": {:.4}, \"build_s\": {:.4}, \
              \"projected_single_s\": {:.4}, \"speedup_vs_projected\": {:.2}, \
-             \"bytes_total\": {}, \"entry_bytes\": {}, \"entry_bytes_fixed\": {}, \
+             \"bytes_total\": {}, \"entry_bytes\": {}, \
              \"frontier_bytes\": {}, \"shard_build_s\": {:.4}, \"frontier_build_s\": {:.4}, \
              \"prefetch_hits\": {}, \
              \"engine_s\": {:.4}, \"queries\": {}, \"qps\": {:.1}, \
@@ -398,7 +385,6 @@ fn main() {
             r.speedup_vs_projected,
             r.bytes_total,
             r.entry_bytes,
-            r.entry_bytes_fixed,
             r.frontier_bytes,
             r.shard_build_s,
             r.frontier_build_s,

@@ -15,24 +15,9 @@
 //! The PCP oracle is built **twice** — serial (`threads = 1`) and parallel
 //! (`threads = 0`) — with both encodes asserted byte-identical in flight,
 //! and the record includes the batched build's probe counts (multi-target
-//! searches vs stored pairs) plus both error contracts: the v2 guaranteed
-//! ε (max per-pair cap) and the v1-era a-priori `4t/s` bound, next to the
-//! observed error.
-//!
-//! The disk PCP backend is additionally served **twice** — once with the
-//! default per-page checksum verification (the recorded backend) and once
-//! with validation opted out via `disable_checksum_validation()` — so the
-//! record quantifies what corruption detection costs
-//! (`pcp_disk_nocksum_qps`, `checksum_overhead_pct`).
-//!
-//! **Decode-vs-I/O trade-off.** Both indexes are *also* written in their
-//! previous fixed-width formats (SILC v2, PCP v3) and served over the same
-//! query set, with every answer asserted bit-identical in flight. The
-//! record carries each format's bytes-on-disk, warm QPS, and a cold
-//! full-decode sweep time (`silc_v2_*` / `silc_v3_decode_s`, `pcp_v3_*` /
-//! `pcp_v4_decode_s`), quantifying what the delta+varint compression saves
-//! in I/O against what it costs in decode work; a >10 % QPS regression of
-//! the compressed format prints a loud warning.
+//! searches vs stored pairs) plus both error contracts: the guaranteed ε
+//! (max per-pair cap) and the a-priori `4t/s` bound, next to the observed
+//! error.
 //!
 //! ```text
 //! cargo run -p silc-bench --release --bin bench_tradeoff -- [FLAGS]
@@ -52,10 +37,9 @@
 //! warms on the first 10 % of the query set, then the full set is timed
 //! with freshly reset cache counters.
 
-use silc::disk::{write_index, write_index_with_version, DiskSilcIndex};
-use silc::{BuildConfig, DistanceBrowser, SilcIndex};
+use silc::disk::{write_index, DiskSilcIndex};
+use silc::{BuildConfig, SilcIndex};
 use silc_bench::stats::percentile;
-use silc_morton::MortonCode;
 use silc_network::generate::{road_network, RoadConfig};
 use silc_network::VertexId;
 use silc_pcp::{write_oracle, DiskDistanceOracle, DistanceOracle};
@@ -169,31 +153,6 @@ fn run_queries(
     (answers, lat, elapsed)
 }
 
-/// Cold full-decode sweep over a disk SILC index: clears both cache tiers,
-/// then decodes every vertex's complete entry list once — page I/O plus
-/// record decode together, the two sides of the decode-vs-I/O trade-off the
-/// compressed v3 format shifts (fewer bytes read, more work per byte).
-fn silc_decode_sweep(ix: &DiskSilcIndex, n: u64) -> f64 {
-    ix.clear_cache();
-    let t = Instant::now();
-    for u in 0..n {
-        let _ = ix.try_entry(VertexId(u as u32), MortonCode(0)).expect("decode entry list");
-    }
-    t.elapsed().as_secs_f64()
-}
-
-/// Cold un-warmed pass of the whole query set through a disk PCP oracle —
-/// every pair group it touches is read from pages and decoded exactly once,
-/// the oracle-side decode-vs-I/O measurement.
-fn pcp_cold_pass(oracle: &DiskDistanceOracle, pairs: &[(VertexId, VertexId)]) -> f64 {
-    oracle.clear_cache();
-    let t = Instant::now();
-    for &(u, v) in pairs {
-        let _ = oracle.distance(u, v);
-    }
-    t.elapsed().as_secs_f64()
-}
-
 /// (mean, max) relative error of `approx` against the exact `truth`.
 fn rel_error(truth: &[f64], approx: &[f64]) -> (f64, f64) {
     let mut sum = 0.0;
@@ -238,20 +197,11 @@ fn main() {
     let silc_path = dir.join(format!("silc-{}-{}.idx", args.vertices, args.seed));
     write_index(&index, &silc_path).expect("serialize SILC index");
     let silc_build_s = t.elapsed().as_secs_f64();
-    // The same index re-encoded in the fixed-width v2 format: the "old"
-    // side of the decode-vs-I/O comparison (not counted in build_s).
-    let silc_v2_path = dir.join(format!("silc-v2-{}-{}.idx", args.vertices, args.seed));
-    write_index_with_version(&index, &silc_v2_path, 2).expect("serialize v2 SILC index");
     drop(index);
     let silc_bytes = std::fs::metadata(&silc_path).expect("stat SILC index").len();
-    let silc_v2_bytes = std::fs::metadata(&silc_v2_path).expect("stat v2 SILC index").len();
     let disk_silc = Arc::new(
         DiskSilcIndex::open(&silc_path, network.clone(), cache_fraction)
             .expect("open disk SILC index"),
-    );
-    let disk_silc_v2 = Arc::new(
-        DiskSilcIndex::open(&silc_v2_path, network.clone(), cache_fraction)
-            .expect("open v2 disk SILC index"),
     );
 
     // Build the ε-approximate PCP oracle twice — serial, then parallel —
@@ -297,14 +247,6 @@ fn main() {
     let pcp_bytes = std::fs::metadata(&pcp_path).expect("stat PCP oracle").len();
     let disk_pcp =
         DiskDistanceOracle::open(&pcp_path, cache_fraction).expect("open disk PCP oracle");
-    // The same oracle re-encoded in the fixed-record v3 format — the PCP
-    // side of the old-vs-new comparison.
-    let pcp_v3_path = dir.join(format!("pcp-v3-{}-{}.pcp", args.vertices, args.seed));
-    silc_storage::FilePageStore::create(&pcp_v3_path, &silc_pcp::format::encode_oracle_v3(&oracle))
-        .expect("serialize v3 PCP oracle");
-    let pcp_v3_bytes = std::fs::metadata(&pcp_v3_path).expect("stat v3 PCP oracle").len();
-    let disk_pcp_v3 =
-        DiskDistanceOracle::open(&pcp_v3_path, cache_fraction).expect("open v3 disk PCP oracle");
     eprintln!(
         "# built: SILC {:.2}s / {} KiB on disk; PCP {:.2}s serial / {:.2}s parallel ({} workers), \
          {} pairs via {} batched + {} refine SSSPs, {} KiB on disk, ε = {:.4} (a-priori {:.4})",
@@ -344,146 +286,21 @@ fn main() {
     let silc_io = disk_silc.io_stats();
     let silc_cache = disk_silc.entry_cache_stats();
 
-    // The fixed-width v2 index over the same query set — answers asserted
-    // bit-identical in flight against the v3-served exact answers.
-    disk_silc_v2.clear_cache();
-    let (v2_exact, _, silc_v2_elapsed) = run_queries(
-        &pairs,
-        |u, v| silc::path::network_distance(&*disk_silc_v2, u, v).expect("connected network"),
-        || disk_silc_v2.reset_io_stats(),
-    );
-    for (i, (&a, &b)) in exact.iter().zip(&v2_exact).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "v2/v3 SILC answers diverged at query {i}");
-    }
-    drop(v2_exact);
-    // The format QPS comparison interleaves two more fully-warm timed
-    // passes per format (v3, v2, v3, v2) and pools them with the first
-    // pass, so slow drift on a shared host (CPU frequency, co-tenants)
-    // biases neither side — a sequential A-then-B layout was observed to
-    // swing the comparison by more than the effect being measured.
-    let mut silc_elapsed_total = silc_elapsed;
-    let mut silc_v2_elapsed_total = silc_v2_elapsed;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for &(u, v) in &pairs {
-            let _ = silc::path::network_distance(&*disk_silc, u, v).expect("connected network");
-        }
-        silc_elapsed_total += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        for &(u, v) in &pairs {
-            let _ = silc::path::network_distance(&*disk_silc_v2, u, v).expect("connected network");
-        }
-        silc_v2_elapsed_total += t.elapsed().as_secs_f64();
-    }
-    let silc_qps = (3 * pairs.len()) as f64 / silc_elapsed_total;
-    let silc_v2_qps = (3 * pairs.len()) as f64 / silc_v2_elapsed_total;
-    // Decode-vs-I/O: cold full-decode sweeps per format (after the stats
-    // captures above — the sweeps clear and dirty the cache counters).
-    let silc_v3_decode_s = silc_decode_sweep(&disk_silc, n);
-    let silc_v2_decode_s = silc_decode_sweep(&disk_silc_v2, n);
-    eprintln!(
-        "# SILC formats: v3 {} B / {:.0} QPS / decode {:.3}s vs v2 {} B / {:.0} QPS / \
-         decode {:.3}s ({:.1} % of v2 bytes)",
-        silc_bytes,
-        silc_qps,
-        silc_v3_decode_s,
-        silc_v2_bytes,
-        silc_v2_qps,
-        silc_v2_decode_s,
-        100.0 * silc_bytes as f64 / silc_v2_bytes as f64,
-    );
-    if silc_qps < 0.9 * silc_v2_qps {
-        eprintln!(
-            "# WARNING: compressed SILC serving lost more than 10 % QPS vs the fixed-width \
-             format — investigate before committing this record"
-        );
-    }
-
     // The memory PCP oracle.
     let (mem_answers, mem_lat, mem_elapsed) =
         run_queries(&pairs, |u, v| oracle.distance(u, v), || {});
 
-    // The disk PCP oracle, from the same buffer-pool substrate. v3 files
-    // verify a per-page checksum on every physical pool read; this is the
-    // default (and recorded) serving configuration.
+    // The disk PCP oracle, from the same buffer-pool substrate, verifying
+    // a per-page checksum on every physical pool read.
     disk_pcp.clear_cache();
     let (disk_answers, disk_lat, disk_elapsed) =
         run_queries(&pairs, |u, v| disk_pcp.distance(u, v), || disk_pcp.reset_io_stats());
     let pcp_io = disk_pcp.io_stats();
     let pcp_cache = disk_pcp.pair_cache_stats();
 
-    // The same file with verification opted out, quantifying what the
-    // checksums cost on the disk-PCP serving path.
-    let mut unverified =
-        DiskDistanceOracle::open(&pcp_path, cache_fraction).expect("re-open disk PCP oracle");
-    unverified.disable_checksum_validation();
-    let (nocksum_answers, _, nocksum_elapsed) =
-        run_queries(&pairs, |u, v| unverified.distance(u, v), || unverified.reset_io_stats());
-    drop(unverified);
-
     for (i, (&m, &d)) in mem_answers.iter().zip(&disk_answers).enumerate() {
         assert_eq!(m.to_bits(), d.to_bits(), "memory/disk PCP answers diverged at query {i}");
     }
-    for (i, (&m, &d)) in mem_answers.iter().zip(&nocksum_answers).enumerate() {
-        assert_eq!(m.to_bits(), d.to_bits(), "unverified PCP answers diverged at query {i}");
-    }
-
-    // The fixed-record v3 oracle over the same query set — answers asserted
-    // bit-identical in flight.
-    disk_pcp_v3.clear_cache();
-    let (v3_answers, _, pcp_v3_elapsed) =
-        run_queries(&pairs, |u, v| disk_pcp_v3.distance(u, v), || disk_pcp_v3.reset_io_stats());
-    for (i, (&m, &d)) in mem_answers.iter().zip(&v3_answers).enumerate() {
-        assert_eq!(m.to_bits(), d.to_bits(), "v3/v4 PCP answers diverged at query {i}");
-    }
-    drop(v3_answers);
-    // Interleaved warm passes (v4, v3, v4, v3), pooled with each format's
-    // first pass — same drift-bias defense as the SILC comparison above.
-    let mut pcp_disk_elapsed_total = disk_elapsed;
-    let mut pcp_v3_elapsed_total = pcp_v3_elapsed;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for &(u, v) in &pairs {
-            let _ = disk_pcp.distance(u, v);
-        }
-        pcp_disk_elapsed_total += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        for &(u, v) in &pairs {
-            let _ = disk_pcp_v3.distance(u, v);
-        }
-        pcp_v3_elapsed_total += t.elapsed().as_secs_f64();
-    }
-    let pcp_v3_qps = (3 * pairs.len()) as f64 / pcp_v3_elapsed_total;
-    let pcp_v4_decode_s = pcp_cold_pass(&disk_pcp, &pairs);
-    let pcp_v3_decode_s = pcp_cold_pass(&disk_pcp_v3, &pairs);
-    eprintln!(
-        "# PCP formats: v4 {} B / decode {:.3}s vs v3 {} B / {:.0} QPS / decode {:.3}s \
-         ({:.1} % of v3 bytes)",
-        pcp_bytes,
-        pcp_v4_decode_s,
-        pcp_v3_bytes,
-        pcp_v3_qps,
-        pcp_v3_decode_s,
-        100.0 * pcp_bytes as f64 / pcp_v3_bytes as f64,
-    );
-    let pcp_disk_qps = (3 * pairs.len()) as f64 / pcp_disk_elapsed_total;
-    if pcp_disk_qps < 0.9 * pcp_v3_qps {
-        eprintln!(
-            "# WARNING: compressed PCP serving lost more than 10 % QPS vs the fixed-record \
-             format — investigate before committing this record"
-        );
-    }
-    // The overhead comparison uses the verified run's own single pass
-    // (adjacent in time to the unverified pass), not the pooled QPS — the
-    // pooled figure mixes in later passes the unverified run has no
-    // counterpart for.
-    let pcp_verified_qps = pairs.len() as f64 / disk_elapsed;
-    let pcp_nocksum_qps = pairs.len() as f64 / nocksum_elapsed;
-    let checksum_overhead_pct = (pcp_nocksum_qps / pcp_verified_qps - 1.0) * 100.0;
-    eprintln!(
-        "# checksum overhead on disk PCP: {pcp_verified_qps:.0} QPS verified vs \
-         {pcp_nocksum_qps:.0} QPS unverified ({checksum_overhead_pct:+.2} %)"
-    );
 
     let (mem_mean, mem_max) = rel_error(&exact, &mem_answers);
     let (disk_mean, disk_max) = rel_error(&exact, &disk_answers);
@@ -491,7 +308,7 @@ fn main() {
     let guaranteed_apriori = oracle.epsilon_apriori();
     if mem_max > guaranteed {
         eprintln!(
-            "# WARNING: observed error {mem_max:.4} exceeds the guaranteed v2 bound \
+            "# WARNING: observed error {mem_max:.4} exceeds the guaranteed bound \
              {guaranteed:.4} — the per-pair caps are unsound for this network; investigate \
              before committing this record"
         );
@@ -502,7 +319,7 @@ fn main() {
             name: "silc_disk",
             build_s: silc_build_s,
             index_bytes: silc_bytes,
-            qps: silc_qps,
+            qps: pairs.len() as f64 / silc_elapsed,
             p50_us: percentile(&silc_lat, 50.0),
             p99_us: percentile(&silc_lat, 99.0),
             pool_hit_rate: Some(silc_io.hit_rate()),
@@ -526,7 +343,7 @@ fn main() {
             name: "pcp_disk",
             build_s: pcp_build_s,
             index_bytes: pcp_bytes,
-            qps: pcp_disk_qps,
+            qps: pairs.len() as f64 / disk_elapsed,
             p50_us: percentile(&disk_lat, 50.0),
             p99_us: percentile(&disk_lat, 99.0),
             pool_hit_rate: Some(pcp_io.hit_rate()),
@@ -564,13 +381,7 @@ fn main() {
          \"pcp_build_workers\": {},\n  \"pcp_batch_sssp\": {},\n  \
          \"pcp_batch_settled\": {},\n  \"pcp_refine_sssp\": {},\n  \
          \"pcp_refined_pairs\": {},\n  \"guaranteed_epsilon\": {:.6},\n  \
-         \"guaranteed_epsilon_apriori\": {:.6},\n  \
-         \"pcp_disk_nocksum_qps\": {:.1},\n  \
-         \"checksum_overhead_pct\": {:.3},\n  \
-         \"silc_v2_bytes\": {},\n  \"silc_v2_qps\": {:.1},\n  \
-         \"silc_v2_decode_s\": {:.4},\n  \"silc_v3_decode_s\": {:.4},\n  \
-         \"pcp_v3_bytes\": {},\n  \"pcp_v3_qps\": {:.1},\n  \
-         \"pcp_v3_decode_s\": {:.4},\n  \"pcp_v4_decode_s\": {:.4},\n  \"backends\": [\n",
+         \"guaranteed_epsilon_apriori\": {:.6},\n  \"backends\": [\n",
         args.vertices,
         args.seed,
         grid_exponent,
@@ -589,16 +400,6 @@ fn main() {
         build_stats.refined_pairs,
         guaranteed,
         guaranteed_apriori,
-        pcp_nocksum_qps,
-        checksum_overhead_pct,
-        silc_v2_bytes,
-        silc_v2_qps,
-        silc_v2_decode_s,
-        silc_v3_decode_s,
-        pcp_v3_bytes,
-        pcp_v3_qps,
-        pcp_v3_decode_s,
-        pcp_v4_decode_s,
     );
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -629,7 +430,5 @@ fn main() {
     println!("{json}");
     eprintln!("# wrote {}", args.out);
     std::fs::remove_file(&silc_path).ok();
-    std::fs::remove_file(&silc_v2_path).ok();
     std::fs::remove_file(&pcp_path).ok();
-    std::fs::remove_file(&pcp_v3_path).ok();
 }

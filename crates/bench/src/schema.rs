@@ -291,16 +291,6 @@ pub const TRADEOFF_SCHEMA: Shape = Shape::Obj(&[
     ("pcp_refined_pairs", Shape::Num),
     ("guaranteed_epsilon", Shape::Num),
     ("guaranteed_epsilon_apriori", Shape::Num),
-    ("pcp_disk_nocksum_qps", Shape::Num),
-    ("checksum_overhead_pct", Shape::Num),
-    ("silc_v2_bytes", Shape::Num),
-    ("silc_v2_qps", Shape::Num),
-    ("silc_v2_decode_s", Shape::Num),
-    ("silc_v3_decode_s", Shape::Num),
-    ("pcp_v3_bytes", Shape::Num),
-    ("pcp_v3_qps", Shape::Num),
-    ("pcp_v3_decode_s", Shape::Num),
-    ("pcp_v4_decode_s", Shape::Num),
     (
         "backends",
         Shape::Arr(&Shape::Obj(&[
@@ -343,7 +333,6 @@ pub const SCALE_SCHEMA: Shape = Shape::Obj(&[
             ("speedup_vs_projected", Shape::Num),
             ("bytes_total", Shape::Num),
             ("entry_bytes", Shape::Num),
-            ("entry_bytes_fixed", Shape::Num),
             ("frontier_bytes", Shape::Num),
             ("shard_build_s", Shape::Num),
             ("frontier_build_s", Shape::Num),

@@ -22,12 +22,16 @@
 //!           level | gap = base − previous block's end | color | λ− f32 | λ+ f32
 //!           The first record's gap is its absolute base. A tiling quadtree
 //!           has gap 0 almost everywhere, so the usual record is
-//!           1 + 1 + 1 + 8 = 11 bytes against the fixed 19 of v2.
+//!           1 + 1 + 1 + 8 = 11 bytes.
 //! (page padding)
 //! checksums one 64-bit digest (8-lane FNV-1a) per payload page — verified on every physical
 //!           page read, so bit rot surfaces as a typed error naming the
 //!           page instead of a silently wrong distance
 //! ```
+//!
+//! This is the one format the module writes and reads. A file of the
+//! retired versions 1 or 2 is refused at open with a [`BuildError::Corrupt`]
+//! that names its version and asks for a rebuild.
 //!
 //! **Why Morton order.** A refinement walk hops between vertices that are
 //! near in space, and vertex ids carry no spatial meaning: laid out by id,
@@ -41,18 +45,10 @@
 //! included), provided the spans start at 0, stay inside the region, and
 //! each has a length its record count can fill (11 to 17 bytes a record).
 //!
-//! λ bounds are byte-identical to v2's, so a v3 file decodes into exactly
-//! the same [`BlockEntry`] values as the v2 encoding of the same index —
-//! everything above the entry cache cannot tell the formats apart. Varint
-//! decoding is canonical and fully validated (level ≤ q, aligned base,
-//! block inside the grid, exact span consumption), so corrupt bytes that
-//! slip past the page checksums still surface as a typed
+//! Varint decoding is canonical and fully validated (level ≤ q, aligned
+//! base, block inside the grid, exact span consumption), so corrupt bytes
+//! that slip past the page checksums still surface as a typed
 //! [`QueryError::Corrupt`], never a panic or a silently wrong answer.
-//!
-//! Formats v1 (`SILCIDX1`, no checksum table) and v2 (`SILCIDX2`, fixed
-//! 19-byte records) stay readable; [`DiskSilcIndex::format_version`]
-//! reports which one a file is, and [`write_index_with_version`] can still
-//! produce them.
 //!
 //! Header, codes and directory are small and held in memory (they are the
 //! "directory" any disk index keeps pinned); only the entry region — the
@@ -68,25 +64,21 @@ use bytes::{Buf, BufMut};
 use silc_geom::{GridMapper, Rect};
 use silc_morton::{MortonBlock, MortonCode};
 use silc_network::{SpatialNetwork, VertexId};
+use silc_storage::checksum::{open_table, read_span_verified, seal};
 use silc_storage::varint::{self, VarintReader};
-use silc_storage::{
-    BufferPool, ChecksumTable, FilePageStore, PageStore, PrefetchPolicy, RetryPolicy, TieredPool,
-    PAGE_SIZE,
-};
+use silc_storage::{BufferPool, FilePageStore, PageStore, TieredPool, PAGE_SIZE};
 use std::cell::RefCell;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC_V1: &[u8; 8] = b"SILCIDX1";
-const MAGIC_V2: &[u8; 8] = b"SILCIDX2";
-const MAGIC_V3: &[u8; 8] = b"SILCIDX3";
-/// The format version [`write_index`] and [`encode_index`] produce.
-pub const CURRENT_VERSION: u32 = 3;
-/// Bytes per serialized block entry in the fixed-record formats (v1/v2);
-/// v3 records are variable-length.
-pub const ENTRY_BYTES: usize = 19;
-/// Shortest and longest v3 record: three varints — level (≤ 16: 1 byte),
+const MAGIC: &[u8; 8] = b"SILCIDX3";
+/// Magics of the retired versions, refused at open with a rebuild hint.
+const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SILCIDX1", b"SILCIDX2"];
+/// Header: magic, n, q, world bounds, min ratio, entry-region offset and
+/// length, checksum-table offset.
+const HEADER_BYTES: usize = 8 + 4 + 4 + 32 + 8 + 8 + 8 + 8;
+/// Shortest and longest record: three varints — level (≤ 16: 1 byte),
 /// gap (< 4^16: ≤ 5 bytes), color (`u16`: ≤ 3 bytes) — and two `f32`s.
 const MIN_RECORD_BYTES: u64 = 11;
 const MAX_RECORD_BYTES: u64 = 17;
@@ -116,9 +108,9 @@ fn f32_up(x: f64) -> f32 {
     }
 }
 
-/// Appends one vertex's v3 record span: per entry, varint level, varint
-/// gap from the previous block's end (the first entry's absolute base),
-/// varint color, then the two λ `f32`s bit-identical to the v2 encoding.
+/// Appends one vertex's record span: per entry, varint level, varint gap
+/// from the previous block's end (the first entry's absolute base), varint
+/// color, then the two λ bounds as outward-rounded `f32`s.
 fn encode_entries_v3(entries: &[BlockEntry], buf: &mut Vec<u8>) {
     let mut prev_end = 0u64;
     for e in entries {
@@ -203,63 +195,30 @@ fn decode_entries_v3(raw: &[u8], count: u32, q: u32) -> io::Result<Arc<[BlockEnt
     Ok(entries)
 }
 
-/// Serializes `index` in the given format version: 1 = fixed records, no
-/// checksums; 2 = fixed records + per-page checksum table; 3 = delta+varint
-/// records + checksum table.
-fn encode_with_version(index: &SilcIndex, version: u32) -> Vec<u8> {
-    assert!((1..=CURRENT_VERSION).contains(&version), "unknown SILC format version {version}");
+/// Serializes `index` into its sealed `SILCIDX3` byte image.
+pub fn encode_index(index: &SilcIndex) -> Vec<u8> {
     let g = index.network();
     let n = g.vertex_count();
 
-    // The entry region and its directory. v1/v2 directories address fixed
-    // 19-byte records by entry index, in id order; the v3 directory addresses
-    // each vertex's variable-length span by byte offset, and the spans follow
-    // the Morton order of the vertex codes (stable sort: ties stay in id order).
+    // The entry region and its directory: each vertex's variable-length
+    // span is addressed by byte offset, and the spans follow the Morton
+    // order of the vertex codes (stable sort: ties stay in id order).
     let mut order: Vec<VertexId> = g.vertices().collect();
-    if version >= 3 {
-        order.sort_by_key(|&v| index.vertex_code(v));
-    }
+    order.sort_by_key(|&v| index.vertex_code(v));
     let mut entry_buf: Vec<u8> = Vec::new();
     let mut directory = vec![(0u64, 0u32); n];
     for v in order {
-        let count = index.tree(v).block_count() as u32;
-        if version >= 3 {
-            directory[v.index()] = (entry_buf.len() as u64, count);
-            encode_entries_v3(index.tree(v).entries(), &mut entry_buf);
-        } else {
-            directory[v.index()] = ((entry_buf.len() / ENTRY_BYTES) as u64, count);
-            for e in index.tree(v).entries() {
-                entry_buf.put_u64_le(e.block.start());
-                entry_buf.put_u8(e.block.level());
-                entry_buf.put_u16_le(e.color);
-                entry_buf.put_f32_le(f32_down(e.lambda_lo));
-                entry_buf.put_f32_le(f32_up(e.lambda_hi));
-            }
-        }
+        directory[v.index()] = (entry_buf.len() as u64, index.tree(v).block_count() as u32);
+        encode_entries_v3(index.tree(v).entries(), &mut entry_buf);
     }
 
-    // v2 added the checksum-table offset to the header; v3 adds the entry
-    // region's byte length (variable-length records need an explicit end).
-    let header_len = 8
-        + 4
-        + 4
-        + 32
-        + 8
-        + 8
-        + if version >= 3 { 8 } else { 0 }
-        + if version >= 2 { 8 } else { 0 };
-    let meta_len = header_len + n * 8 + n * 12;
-    let entries_base = meta_len as u64;
+    let meta_len = HEADER_BYTES + n * 8 + n * 12;
     let payload_len = meta_len + entry_buf.len();
     // The checksum table starts on the page boundary after the payload.
     let cksum_base = payload_len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
 
     let mut buf = Vec::with_capacity(payload_len);
-    buf.put_slice(match version {
-        1 => MAGIC_V1,
-        2 => MAGIC_V2,
-        _ => MAGIC_V3,
-    });
+    buf.put_slice(MAGIC);
     buf.put_u32_le(n as u32);
     buf.put_u32_le(index.mapper().q());
     let b = index.mapper().bounds();
@@ -268,13 +227,9 @@ fn encode_with_version(index: &SilcIndex, version: u32) -> Vec<u8> {
     buf.put_f64_le(b.max_x);
     buf.put_f64_le(b.max_y);
     buf.put_f64_le(index.global_min_ratio());
-    buf.put_u64_le(entries_base);
-    if version >= 3 {
-        buf.put_u64_le(entry_buf.len() as u64);
-    }
-    if version >= 2 {
-        buf.put_u64_le(cksum_base as u64);
-    }
+    buf.put_u64_le(meta_len as u64);
+    buf.put_u64_le(entry_buf.len() as u64);
+    buf.put_u64_le(cksum_base as u64);
     for v in g.vertices() {
         buf.put_u64_le(index.vertex_code(v).value());
     }
@@ -284,54 +239,16 @@ fn encode_with_version(index: &SilcIndex, version: u32) -> Vec<u8> {
     }
     debug_assert_eq!(buf.len(), meta_len);
     buf.extend_from_slice(&entry_buf);
-    if version >= 2 {
-        // Digest the page-padded payload image, then append the table on
-        // the next page boundary.
-        let table = ChecksumTable::compute(&buf);
-        buf.resize(cksum_base, 0);
-        buf.extend_from_slice(&table.to_bytes());
-    }
+    seal(&mut buf);
     buf
 }
 
-/// Serializes `index` into the current ([`CURRENT_VERSION`]) byte image.
-pub fn encode_index(index: &SilcIndex) -> Vec<u8> {
-    encode_with_version(index, CURRENT_VERSION)
-}
-
-/// Serializes `index` in an explicit format version — the writer knob
-/// that keeps every older format producible for compatibility tests and
-/// for the old-vs-new trade-off benchmark.
-///
-/// # Panics
-/// Panics if `version` is not in `1..=`[`CURRENT_VERSION`].
-pub fn encode_index_with_version(index: &SilcIndex, version: u32) -> Vec<u8> {
-    encode_with_version(index, version)
-}
-
-/// Serializes `index` into a page file at `path` (format
-/// [`CURRENT_VERSION`]). The write is crash-safe: a temp file in the
-/// target directory, fsynced, then atomically renamed — a crash mid-write
-/// never leaves a truncated index at `path`.
+/// Serializes `index` into a page file at `path`. The write is crash-safe:
+/// a temp file in the target directory, fsynced, then atomically renamed —
+/// a crash mid-write never leaves a truncated index at `path`.
 pub fn write_index<P: AsRef<Path>>(index: &SilcIndex, path: P) -> Result<(), BuildError> {
-    write_index_with_version(index, path, CURRENT_VERSION)
-}
-
-/// [`write_index`] with an explicit format version (see
-/// [`encode_index_with_version`]).
-pub fn write_index_with_version<P: AsRef<Path>>(
-    index: &SilcIndex,
-    path: P,
-    version: u32,
-) -> Result<(), BuildError> {
-    FilePageStore::create(path, &encode_with_version(index, version))?;
+    FilePageStore::create(path, &encode_index(index))?;
     Ok(())
-}
-
-/// Serializes `index` in the legacy v1 format (no checksum table) — kept
-/// so the backward-compatibility path stays exercised by tests.
-pub fn write_index_v1<P: AsRef<Path>>(index: &SilcIndex, path: P) -> Result<(), BuildError> {
-    write_index_with_version(index, path, 1)
 }
 
 /// One vertex's record span: byte offset in the entry region, byte length,
@@ -358,9 +275,6 @@ pub struct DiskSilcIndex {
     /// Byte length of the entry region.
     entries_len: u64,
     min_ratio: f64,
-    /// On-disk format version (1 = legacy, 2 = checksummed, 3 =
-    /// compressed).
-    version: u32,
     /// The two-tier read path: the page pool plus decoded entry lists per
     /// vertex, so repeated probes of the same vertex's quadtree (every
     /// refinement step, every block descent) do not re-deserialize its full
@@ -408,9 +322,8 @@ impl DiskSilcIndex {
     /// Opens an index from an arbitrary page store — the seam that lets
     /// tests wrap the file in a fault injector, or serve an index from any
     /// other page source. Validates the format exactly like
-    /// [`Self::open`]; v2+ files additionally get their metadata pages
-    /// checksum-verified here and their entry pages verified lazily in the
-    /// buffer pool.
+    /// [`Self::open`]: the metadata pages are checksum-verified here, the
+    /// entry pages lazily in the buffer pool.
     pub fn from_store(
         store: Box<dyn PageStore>,
         network: Arc<SpatialNetwork>,
@@ -418,25 +331,21 @@ impl DiskSilcIndex {
         entry_cache_capacity: usize,
     ) -> Result<Self, BuildError> {
         let corrupt = |msg: &str| BuildError::Corrupt(msg.to_string());
-        let file_len = store.page_count() * PAGE_SIZE as u64;
-
-        let base_header_len = 8 + 4 + 4 + 32 + 8 + 8;
-        if file_len < base_header_len as u64 + 8 {
+        if store.page_count() * (PAGE_SIZE as u64) < HEADER_BYTES as u64 {
             return Err(corrupt("file too small for header"));
         }
-        let magic_bytes = silc_storage::read_span(&store, 0, 8)?;
-        // Infallible: read_span returned exactly the 8 bytes requested.
-        let version = match <&[u8; 8]>::try_from(&magic_bytes[..]).unwrap() {
-            m if m == MAGIC_V1 => 1,
-            m if m == MAGIC_V2 => 2,
-            m if m == MAGIC_V3 => 3,
-            _ => return Err(corrupt("bad magic")),
-        };
-        let header_len =
-            base_header_len + if version >= 3 { 8 } else { 0 } + if version >= 2 { 8 } else { 0 };
-
-        let header = silc_storage::read_span(&store, 0, header_len)?;
-        let mut h = &header[8..];
+        let header = silc_storage::read_span(&store, 0, HEADER_BYTES)?;
+        let (magic, mut h) = header.split_at(8);
+        if let Some(retired) = RETIRED_MAGICS.iter().find(|&&m| m == magic) {
+            return Err(BuildError::Corrupt(format!(
+                "{} is a retired index format; rebuild the index to write {}",
+                String::from_utf8_lossy(*retired),
+                String::from_utf8_lossy(MAGIC)
+            )));
+        }
+        if magic != MAGIC {
+            return Err(corrupt("bad magic"));
+        }
         let n = h.get_u32_le() as usize;
         if n != network.vertex_count() {
             return Err(corrupt("index vertex count does not match network"));
@@ -445,148 +354,74 @@ impl DiskSilcIndex {
         if !(1..=16).contains(&q) {
             return Err(corrupt("grid exponent out of range"));
         }
-        let bounds = Rect::new(h.get_f64_le(), h.get_f64_le(), h.get_f64_le(), h.get_f64_le());
+        let (min_x, min_y, max_x, max_y) =
+            (h.get_f64_le(), h.get_f64_le(), h.get_f64_le(), h.get_f64_le());
         let min_ratio = h.get_f64_le();
-        let entries_base = h.get_u64_le();
-        let entries_len_field = if version >= 3 { Some(h.get_u64_le()) } else { None };
-
-        // v2: load the checksum table, then re-read the metadata region
-        // verified against it. (The 72 header bytes parsed above get
-        // re-verified as part of the metadata span.)
-        let meta_len = header_len + n * 8 + n * 12;
-        let checks = if version >= 2 {
-            let cksum_base = h.get_u64_le();
-            if cksum_base % PAGE_SIZE as u64 != 0 {
-                return Err(corrupt("checksum table is not page-aligned"));
-            }
-            let payload_pages = (cksum_base / PAGE_SIZE as u64) as usize;
-            let table_bytes = payload_pages * 8;
-            if cksum_base + table_bytes as u64 > file_len {
-                return Err(corrupt("checksum table extends past end of file"));
-            }
-            let raw = silc_storage::read_span(&store, cksum_base as usize, table_bytes)?;
-            let table = ChecksumTable::from_bytes(&raw, payload_pages)
-                .map_err(|e| BuildError::Corrupt(e.to_string()))?;
-            if meta_len > cksum_base as usize {
-                return Err(corrupt("metadata region overlaps checksum table"));
-            }
-            Some(Arc::new(table))
-        } else {
-            None
-        };
-        let meta = match &checks {
-            Some(table) => silc_storage::checksum::read_span_verified(&store, 0, meta_len, table)
-                .map_err(|e| BuildError::Corrupt(e.to_string()))?,
-            None => silc_storage::read_span(&store, 0, meta_len)?,
-        };
-        let mut m = &meta[header_len..];
-        let mut codes = Vec::with_capacity(n);
-        for _ in 0..n {
-            codes.push(MortonCode(m.get_u64_le()));
+        let finite = [min_x, min_y, max_x, max_y, min_ratio].iter().all(|c| c.is_finite());
+        if !finite || min_x > max_x || min_y > max_y || min_ratio < 0.0 {
+            return Err(corrupt("world bounds or distance ratio out of range"));
         }
+        let entries_base = h.get_u64_le();
+        let entries_len = h.get_u64_le();
+        let cksum_base = h.get_u64_le();
+
+        // Load the checksum table, then re-read the metadata region
+        // verified against it (the header parsed above included).
+        let meta_len = HEADER_BYTES + n * 8 + n * 12;
+        if entries_base != meta_len as u64 {
+            return Err(corrupt("entry region does not follow the directory"));
+        }
+        let to_corrupt = |e: io::Error| BuildError::Corrupt(e.to_string());
+        let table = open_table(&store, cksum_base).map_err(to_corrupt)?;
+        if meta_len as u64 > cksum_base {
+            return Err(corrupt("metadata region overlaps checksum table"));
+        }
+        let meta = read_span_verified(&store, 0, meta_len, &table).map_err(to_corrupt)?;
+        let mut m = &meta[HEADER_BYTES..];
+        let codes: Vec<MortonCode> = (0..n).map(|_| MortonCode(m.get_u64_le())).collect();
         let mut directory: Vec<Span> =
             (0..n).map(|_| Span { start: m.get_u64_le(), len: 0, count: m.get_u32_le() }).collect();
-        let entries_len = if let Some(region_len) = entries_len_field {
-            // Byte-offset directory, spans in any order: from the highest
-            // start down, each span ends where the one after it starts.
-            let mut by_start: Vec<u32> = (0..n as u32).collect();
-            by_start.sort_unstable_by_key(|&i| directory[i as usize].start);
-            let mut end = region_len;
-            for &i in by_start.iter().rev() {
-                let span = &mut directory[i as usize];
-                let len = end
-                    .checked_sub(span.start)
-                    .ok_or_else(|| corrupt("directory offset past entry region"))?;
-                let count = span.count as u64;
-                if !(MIN_RECORD_BYTES * count..=MAX_RECORD_BYTES * count).contains(&len) {
-                    return Err(corrupt("directory spans overlap or leave a gap"));
-                }
-                span.len = u32::try_from(len).map_err(|_| corrupt("record span too long"))?;
-                end = span.start;
+        // Spans in any order: from the highest start down, each span ends
+        // where the one after it starts.
+        let mut by_start: Vec<u32> = (0..n as u32).collect();
+        by_start.sort_unstable_by_key(|&i| directory[i as usize].start);
+        let mut end = entries_len;
+        for &i in by_start.iter().rev() {
+            let span = &mut directory[i as usize];
+            let len = end
+                .checked_sub(span.start)
+                .ok_or_else(|| corrupt("directory offset past entry region"))?;
+            let count = span.count as u64;
+            if !(MIN_RECORD_BYTES * count..=MAX_RECORD_BYTES * count).contains(&len) {
+                return Err(corrupt("directory spans overlap or leave a gap"));
             }
-            if end != 0 {
-                return Err(corrupt("directory spans do not start at offset 0"));
-            }
-            region_len
-        } else {
-            // Entry-index directory (v1/v2): fixed records in id order.
-            let mut total_entries = 0u64;
-            for span in &mut directory {
-                if span.start != total_entries {
-                    return Err(corrupt("directory entries are not contiguous"));
-                }
-                total_entries += span.count as u64;
-                span.start *= ENTRY_BYTES as u64;
-                span.len = u32::try_from(span.count as u64 * ENTRY_BYTES as u64)
-                    .map_err(|_| corrupt("record span too long"))?;
-            }
-            total_entries * ENTRY_BYTES as u64
-        };
-        let needed = entries_base + entries_len;
-        let entry_limit = match &checks {
-            Some(table) => (table.pages() * PAGE_SIZE) as u64,
-            None => file_len,
-        };
-        if needed > entry_limit {
+            span.len = u32::try_from(len).map_err(|_| corrupt("record span too long"))?;
+            end = span.start;
+        }
+        if end != 0 {
+            return Err(corrupt("directory spans do not start at offset 0"));
+        }
+        if entries_base.checked_add(entries_len).is_none_or(|end| end > cksum_base) {
             return Err(corrupt("entry region extends past end of file"));
         }
 
         let mut cached = TieredPool::new(store, cache_fraction, entry_cache_capacity);
-        if let Some(table) = checks {
-            cached.set_checksums(table);
-        }
+        cached.set_checksums(table);
         Ok(DiskSilcIndex {
-            mapper: GridMapper::new(bounds, q),
+            mapper: GridMapper::new(Rect::new(min_x, min_y, max_x, max_y), q),
             network,
             codes,
             directory,
             entries_base,
             entries_len,
             min_ratio,
-            version,
             cached,
         })
     }
 
-    /// The on-disk format version this index was opened from: 1 (legacy,
-    /// no checksums), 2 (per-page checksum table) or 3 (compressed
-    /// delta+varint records).
-    pub fn format_version(&self) -> u32 {
-        self.version
-    }
-
-    /// Total number of block entries across all vertices — with
-    /// [`Self::entry_region_bytes`], what a size projection between
-    /// formats needs.
-    pub fn entry_count(&self) -> u64 {
-        self.directory.iter().map(|span| span.count as u64).sum()
-    }
-
-    /// Byte length of the (possibly compressed) entry region.
+    /// Byte length of the entry region.
     pub fn entry_region_bytes(&self) -> u64 {
         self.entries_len
-    }
-
-    /// Sets how the buffer pool retries transient store faults. Configure
-    /// before sharing the index across threads.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.cached.set_retry_policy(retry);
-    }
-
-    /// Sets the buffer pool's readahead hint for cold entry-region scans
-    /// (see [`PrefetchPolicy`]). Configure before sharing the index across
-    /// threads.
-    pub fn set_prefetch_policy(&mut self, prefetch: PrefetchPolicy) {
-        self.cached.set_prefetch_policy(prefetch);
-    }
-
-    /// Opts this open out of per-page checksum verification (`SILCIDX2`
-    /// and `SILCIDX3` files verify on every physical page read by default;
-    /// v1 files carry no checksums and are unaffected). For trusted media and for
-    /// measuring the verification overhead — corruption then goes
-    /// undetected. Configure before sharing the index across threads.
-    pub fn disable_checksum_validation(&mut self) {
-        self.cached.clear_checksums();
     }
 
     /// I/O counters of the buffer pool.
@@ -640,28 +475,12 @@ impl DiskSilcIndex {
         RAW_SPAN.with_borrow_mut(|raw| {
             raw.clear();
             pool.read_range(byte_lo, byte_lo + len as u64, raw)?;
-            if self.version >= 3 {
-                // Any decode failure — truncated or malformed varint,
-                // invariant violation — is structural corruption; normalize
-                // it to one InvalidData error naming the vertex, which the
-                // query layer lifts to a typed `Corrupt`.
-                return decode_entries_v3(raw, count, self.mapper.q()).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("vertex {}: {e}", u.index()))
-                });
-            }
-            let mut r = &raw[..];
-            collect_entries(count, || {
-                let base = r.get_u64_le();
-                let level = r.get_u8();
-                let color = r.get_u16_le();
-                let lambda_lo = (r.get_f32_le() as f64).max(0.0);
-                let lambda_hi = r.get_f32_le() as f64;
-                Ok(BlockEntry {
-                    block: MortonBlock::new(MortonCode(base), level),
-                    color,
-                    lambda_lo,
-                    lambda_hi,
-                })
+            // Any decode failure — truncated or malformed varint, invariant
+            // violation — is structural corruption; normalize it to one
+            // InvalidData error naming the vertex, which the query layer
+            // lifts to a typed `Corrupt`.
+            decode_entries_v3(raw, count, self.mapper.q()).map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("vertex {}: {e}", u.index()))
             })
         })
     }
@@ -747,6 +566,7 @@ mod tests {
     use crate::path;
     use silc_network::dijkstra;
     use silc_network::generate::{grid_network, GridConfig};
+    use silc_storage::MemPageStore;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("silc-disk-tests");
@@ -755,12 +575,7 @@ mod tests {
     }
 
     fn build_pair(name: &str) -> (SilcIndex, DiskSilcIndex) {
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
+        let g = grid();
         let idx =
             SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 2 }).unwrap();
         let path = tmp(name);
@@ -903,73 +718,35 @@ mod tests {
         let dst = tmp("trunc.idx");
         let data = std::fs::read(&src).unwrap();
         std::fs::write(&dst, &data[..PAGE_SIZE.min(data.len())]).unwrap();
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
-        assert!(DiskSilcIndex::open(&dst, g, 0.2).is_err());
+        assert!(DiskSilcIndex::open(&dst, grid(), 0.2).is_err());
     }
 
     #[test]
-    fn old_formats_stay_readable_and_all_answer_bit_identically() {
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
-        let idx =
-            SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 2 }).unwrap();
-        let mut opened = Vec::new();
-        for version in 1..=CURRENT_VERSION {
-            let p = tmp(&format!("compat-v{version}.idx"));
-            write_index_with_version(&idx, &p, version).unwrap();
-            let d = DiskSilcIndex::open(&p, g.clone(), 0.25).unwrap();
-            assert_eq!(d.format_version(), version);
-            opened.push(d);
-        }
-        assert_eq!(opened[0].entry_count(), opened[2].entry_count());
-        // Every format decodes into bit-identical entries — λ included.
-        let reference = &opened[0];
-        for d in &opened[1..] {
-            for u in g.vertices() {
-                for v in g.vertices() {
-                    let code = reference.vertex_code(v);
-                    assert_eq!(
-                        reference.try_entry(u, code).unwrap(),
-                        d.try_entry(u, code).unwrap(),
-                        "v{} entry differs from v1 for {u}->{v}",
-                        d.format_version()
-                    );
+    fn retired_formats_are_refused_with_a_rebuild_hint() {
+        let (_, _) = build_pair("retired-src.idx");
+        let image = std::fs::read(tmp("retired-src.idx")).unwrap();
+        for magic in RETIRED_MAGICS {
+            let mut forged = image.clone();
+            forged[..8].copy_from_slice(magic);
+            match open_image(&forged) {
+                Err(BuildError::Corrupt(msg)) => {
+                    let name = String::from_utf8_lossy(magic);
+                    assert!(msg.contains(&*name) && msg.contains("rebuild"), "{msg}");
                 }
-                assert_eq!(d.next_hop(VertexId(0), u), reference.next_hop(VertexId(0), u));
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
             }
         }
     }
 
     #[test]
     fn v3_entry_region_shrinks_by_at_least_thirty_percent() {
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
-        let idx =
-            SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 2 }).unwrap();
-        let p2 = tmp("shrink-v2.idx");
-        let p3 = tmp("shrink-v3.idx");
-        write_index_with_version(&idx, &p2, 2).unwrap();
-        write_index_with_version(&idx, &p3, 3).unwrap();
-        let d2 = DiskSilcIndex::open(&p2, g.clone(), 0.25).unwrap();
-        let d3 = DiskSilcIndex::open(&p3, g, 0.25).unwrap();
-        let (v2_bytes, v3_bytes) = (d2.entry_region_bytes(), d3.entry_region_bytes());
-        assert_eq!(v2_bytes, d2.entry_count() * ENTRY_BYTES as u64);
+        // Against the fixed 19-byte records of the retired version 2.
+        let (_, disk) = build_pair("shrink.idx");
+        let fixed: u64 = disk.directory.iter().map(|span| 19 * span.count as u64).sum();
+        let compressed = disk.entry_region_bytes();
         assert!(
-            (v3_bytes as f64) <= 0.7 * v2_bytes as f64,
-            "v3 entry region {v3_bytes} B not ≤ 70% of v2's {v2_bytes} B"
+            (compressed as f64) <= 0.7 * fixed as f64,
+            "entry region {compressed} B not ≤ 70% of fixed-width {fixed} B"
         );
     }
 
@@ -1059,24 +836,44 @@ mod tests {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
     }
 
-    /// Writes a tampered copy of a v3 image with its checksum table
-    /// recomputed, so the tampering gets past the page checksums, and
-    /// opens it over the `build_pair` network.
-    fn reopen_resealed(mut data: Vec<u8>, name: &str) -> Result<DiskSilcIndex, BuildError> {
+    /// The 8×8 grid network `build_pair` indexes.
+    fn grid() -> Arc<SpatialNetwork> {
+        Arc::new(grid_network(&GridConfig { rows: 8, cols: 8, seed: 41, ..Default::default() }))
+    }
+
+    /// Opens an image over the `build_pair` network from memory.
+    fn open_image(image: &[u8]) -> Result<DiskSilcIndex, BuildError> {
+        DiskSilcIndex::from_store(Box::new(MemPageStore::new(image)), grid(), 0.25, 16)
+    }
+
+    /// A tampered image re-sealed over its first `payload` bytes, so the
+    /// tampering gets past the page checksums.
+    fn resealed(mut data: Vec<u8>, payload: usize) -> Vec<u8> {
+        data.truncate(payload);
+        seal(&mut data);
+        data
+    }
+
+    /// Re-seals a tampered image (header untouched) and opens it.
+    fn reopen_resealed(data: Vec<u8>) -> Result<DiskSilcIndex, BuildError> {
         let cksum_base = u64::from_le_bytes(data[72..80].try_into().unwrap()) as usize;
-        let table = ChecksumTable::compute(&data[..cksum_base]);
-        data.truncate(cksum_base);
-        data.extend_from_slice(&table.to_bytes());
-        data.resize(data.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
-        let dst = tmp(name);
-        std::fs::write(&dst, &data).unwrap();
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
-        DiskSilcIndex::open(&dst, g, 0.25)
+        open_image(&resealed(data, cksum_base))
+    }
+
+    #[test]
+    fn hostile_header_words_are_typed_errors_not_panics() {
+        let (_, _) = build_pair("hostile-src.idx");
+        let image = std::fs::read(tmp("hostile-src.idx")).unwrap();
+        let cksum_base = u64::from_le_bytes(image[72..80].try_into().unwrap()) as usize;
+        for at in 0..=HEADER_BYTES - 8 {
+            for word in [0, u64::MAX, !(PAGE_SIZE as u64 - 1)] {
+                let mut data = image.clone();
+                data[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                // Ok or a typed error both pass; a panic fails the test.
+                let _ = open_image(&data);
+                let _ = open_image(&resealed(data, cksum_base));
+            }
+        }
     }
 
     #[test]
@@ -1085,7 +882,6 @@ mod tests {
         // structure (a rewritten file with a recomputed table) must fail
         // with a pageless typed Corrupt at query time.
         let (_, disk) = build_pair("v3-tamper-src.idx");
-        assert_eq!(disk.format_version(), 3);
         let mut data = std::fs::read(tmp("v3-tamper-src.idx")).unwrap();
         let entries_base = disk.entries_base as usize;
         // Stomp the level varint of the vertex whose span opens the entry
@@ -1093,7 +889,7 @@ mod tests {
         let first = disk.directory.iter().position(|span| span.start == 0).unwrap();
         data[entries_base] = 0x80;
         data[entries_base + 1] = 0x80;
-        let bad = reopen_resealed(data, "v3-tamper.idx").unwrap();
+        let bad = reopen_resealed(data).unwrap();
         match bad.try_entry(VertexId(first as u32), bad.vertex_code(VertexId(1))) {
             Err(QueryError::Corrupt { page: None, detail }) => {
                 assert!(detail.contains(&format!("vertex {first}")), "{detail}");
@@ -1129,7 +925,7 @@ mod tests {
             let mut data = data.clone();
             let at = 80 + 8 * disk.codes.len() + 12 * v;
             data[at..at + 8].copy_from_slice(&start.to_le_bytes());
-            match reopen_resealed(data, &format!("tiling-{v}-{start}.idx")) {
+            match reopen_resealed(data) {
                 Err(BuildError::Corrupt(msg)) => msg,
                 other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
             }
@@ -1148,7 +944,7 @@ mod tests {
         assert!(with_start(last, past).contains("past entry region"));
         // Control: it is the offsets, not the reseal, that fail the cases
         // above — the untouched image resealed the same way opens.
-        assert!(reopen_resealed(data.clone(), "tiling-ok.idx").is_ok());
+        assert!(reopen_resealed(data.clone()).is_ok());
     }
 
     #[test]
@@ -1162,12 +958,7 @@ mod tests {
         let victim = meta_pages.max(1); // an entry-region page
         data[victim * PAGE_SIZE + 100] ^= 0x10;
         std::fs::write(&dst, &data).unwrap();
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
+        let g = grid();
         let bad = DiskSilcIndex::open(&dst, g.clone(), 0.25).unwrap();
         // Some vertex's entries live on the flipped page; scanning all of
         // them must surface exactly a typed Corrupt naming that page —
@@ -1198,12 +989,7 @@ mod tests {
         let src = tmp("truncsweep-src.idx");
         let data = std::fs::read(&src).unwrap();
         let pages = data.len() / PAGE_SIZE;
-        let g = Arc::new(grid_network(&GridConfig {
-            rows: 8,
-            cols: 8,
-            seed: 41,
-            ..Default::default()
-        }));
+        let g = grid();
         for keep in 0..pages {
             let dst = tmp("truncsweep.idx");
             std::fs::write(&dst, &data[..keep * PAGE_SIZE]).unwrap();

@@ -56,10 +56,9 @@ use crate::error::{BuildError, QueryError};
 use bytes::{Buf, BufMut};
 use silc_network::partition::NetworkPartition;
 use silc_network::{analysis, dijkstra, NetworkBuilder, SpatialNetwork, VertexId};
+use silc_storage::checksum::{open_table, read_span_verified, seal};
 use silc_storage::varint::{self, VarintReader};
-use silc_storage::{
-    read_span, ChecksumTable, FilePageStore, PageStore, PrefetchPolicy, TieredPool, PAGE_SIZE,
-};
+use silc_storage::{read_span, FilePageStore, PageStore, PrefetchPolicy, TieredPool, PAGE_SIZE};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -207,9 +206,7 @@ pub fn build_tier(partition: &NetworkPartition, threads: usize) -> Vec<u8> {
         }
     }
     debug_assert_eq!(buf.len(), payload_len);
-    let table = ChecksumTable::compute(&buf);
-    buf.resize(cksum_base, 0);
-    buf.extend_from_slice(&table.to_bytes());
+    seal(&mut buf);
     buf
 }
 
@@ -265,8 +262,7 @@ impl FrontierTier {
         cache_fraction: f64,
     ) -> Result<Self, BuildError> {
         let corrupt = |msg: String| BuildError::Corrupt(msg);
-        let file_len = store.page_count() * PAGE_SIZE as u64;
-        if file_len < HEADER_BYTES as u64 {
+        if store.page_count() * (PAGE_SIZE as u64) < HEADER_BYTES as u64 {
             return Err(corrupt("frontier tier file too small for header".into()));
         }
         let header = read_span(&store, 0, HEADER_BYTES)?;
@@ -294,30 +290,17 @@ impl FrontierTier {
         let rows_len = h.get_u64_le();
         let rows_base = h.get_u64_le();
 
-        if cksum_base % PAGE_SIZE as u64 != 0 {
-            return Err(corrupt("checksum table is not page-aligned".into()));
-        }
-        let payload_pages = (cksum_base / PAGE_SIZE as u64) as usize;
-        if cksum_base + (payload_pages * 8) as u64 > file_len {
-            return Err(corrupt("checksum table extends past end of file".into()));
-        }
+        let table = open_table(&store, cksum_base).map_err(|e| corrupt(e.to_string()))?;
         if rows_base.checked_add(rows_len).is_none_or(|end| {
             end > cksum_base || end.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64 != cksum_base
         }) {
             return Err(corrupt("row region does not tile the payload".into()));
         }
-        let raw_table = read_span(&store, cksum_base as usize, payload_pages * 8)?;
-        let table = Arc::new(
-            ChecksumTable::from_bytes(&raw_table, payload_pages)
-                .map_err(|e| corrupt(e.to_string()))?,
-        );
-
         if rows_base < HEADER_BYTES as u64 {
             return Err(corrupt("row region overlaps the header".into()));
         }
-        let meta =
-            silc_storage::checksum::read_span_verified(&store, 0, rows_base as usize, &table)
-                .map_err(|e| corrupt(e.to_string()))?;
+        let meta = read_span_verified(&store, 0, rows_base as usize, &table)
+            .map_err(|e| corrupt(e.to_string()))?;
         let expected = partition.frontier_members();
         let mut r = VarintReader::new(&meta[HEADER_BYTES..]);
         let mut shards = Vec::with_capacity(shard_count);
@@ -593,6 +576,26 @@ mod tests {
         match FrontierTier::from_store(Box::new(MemPageStore::new(&bytes)), &other, 1.0) {
             Err(BuildError::Corrupt(msg)) => assert!(msg.contains("shards"), "{msg}"),
             other => panic!("expected Corrupt, got {:?}", other.err().map(|e| e.to_string())),
+        }
+    }
+
+    #[test]
+    fn hostile_header_words_are_typed_errors_not_panics() {
+        let (_, p) = fixture(200, 3, 5);
+        let image = build_tier(&p, 1);
+        let cksum_base = u64::from_le_bytes(image[28..36].try_into().unwrap()) as usize;
+        let open =
+            |bytes: &[u8]| FrontierTier::from_store(Box::new(MemPageStore::new(bytes)), &p, 1.0);
+        for at in 0..=HEADER_BYTES - 8 {
+            for word in [0, u64::MAX, !(PAGE_SIZE as u64 - 1)] {
+                let mut data = image.clone();
+                data[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                // Ok or a typed error both pass; a panic fails the test.
+                let _ = open(&data);
+                data.truncate(cksum_base);
+                seal(&mut data);
+                let _ = open(&data);
+            }
         }
     }
 

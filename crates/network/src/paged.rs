@@ -174,11 +174,6 @@ impl PagedNetwork {
         Ok(())
     }
 
-    /// Replaces the pool's retry policy for transient store faults.
-    pub fn set_retry_policy(&mut self, retry: silc_storage::RetryPolicy) {
-        self.pool.set_retry_policy(retry);
-    }
-
     /// I/O counters of the buffer pool.
     pub fn io_stats(&self) -> silc_storage::IoStats {
         self.pool.stats()

@@ -14,9 +14,8 @@ use crate::error::PcpError;
 use crate::format::{self, PairRecord};
 use crate::oracle::{locate_pair, DistanceOracle, PairData};
 use crate::split_tree::SplitTree;
-use bytes::Buf;
 use silc_network::VertexId;
-use silc_storage::{BufferPool, FilePageStore, MemPageStore, PageStore, RetryPolicy, TieredPool};
+use silc_storage::{BufferPool, FilePageStore, MemPageStore, PageStore, TieredPool};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -29,8 +28,7 @@ use std::sync::Arc;
 /// sharded and internally synchronized.
 pub struct DiskDistanceOracle<S: PageStore = FilePageStore> {
     tree: SplitTree,
-    /// Per-node `(start, pair count)` into the pair region — a pair index
-    /// for the fixed-record versions (≤ 3), a byte offset for v4.
+    /// Per-node `(byte start, pair count)` into the pair region.
     directory: Vec<(u64, u32)>,
     pair_count: u64,
     pairs_base: u64,
@@ -38,14 +36,8 @@ pub struct DiskDistanceOracle<S: PageStore = FilePageStore> {
     pairs_len: u64,
     separation: f64,
     stretch: f64,
-    /// The guaranteed ε from the header: max per-pair cap (v2), or the
-    /// a-priori `4t/s` (v1 files, which carry no caps).
+    /// The guaranteed ε from the header: the max per-pair cap.
     eps_max: f64,
-    /// Bytes per pair record in the fixed-record versions — 28 for v2/v3
-    /// files, 20 for v1 (unused for v4's variable-length records).
-    pair_bytes: usize,
-    /// The opened file's format version.
-    version: u32,
     /// The two-tier read path: page pool plus decoded pair groups keyed by
     /// their `a`-side split-tree node, so the repeated probes of one locate
     /// walk do not re-deserialize a group per lookup.
@@ -95,9 +87,7 @@ impl<S: PageStore> DiskDistanceOracle<S> {
         let cache = pair_cache_capacity
             .unwrap_or_else(|| silc_storage::default_decoded_capacity(parsed.directory.len()));
         let mut cached = TieredPool::new(store, cache_fraction, cache);
-        if let Some(table) = parsed.checks {
-            cached.set_checksums(table);
-        }
+        cached.set_checksums(parsed.table);
         Ok(DiskDistanceOracle {
             tree: parsed.tree,
             directory: parsed.directory,
@@ -107,44 +97,14 @@ impl<S: PageStore> DiskDistanceOracle<S> {
             separation: parsed.separation,
             stretch: parsed.stretch,
             eps_max: parsed.eps_max,
-            pair_bytes: parsed.pair_bytes,
-            version: parsed.version,
             cached,
         })
     }
 
-    /// The opened file's format version (1 to 4; see `crate::format`).
-    pub fn format_version(&self) -> u32 {
-        self.version
-    }
-
-    /// Byte length of the on-disk pair region — what the v4 compression
-    /// shrinks (the benches record it as bytes-on-disk).
+    /// Byte length of the on-disk pair region (the benches record it as
+    /// bytes-on-disk).
     pub fn pair_region_bytes(&self) -> u64 {
         self.pairs_len
-    }
-
-    /// Sets the buffer pool's readahead hint (see
-    /// [`silc_storage::PrefetchPolicy`]): cold sequential runs through the
-    /// pair region are extended by up to `window` pages in the same store
-    /// call. Configure before sharing the oracle across threads.
-    pub fn set_prefetch_policy(&mut self, prefetch: silc_storage::PrefetchPolicy) {
-        self.cached.set_prefetch_policy(prefetch);
-    }
-
-    /// Sets how the buffer pool retries transient store faults. Configure
-    /// before sharing the oracle across threads.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.cached.set_retry_policy(retry);
-    }
-
-    /// Opts this open out of per-page checksum verification (v3 files
-    /// verify on every physical page read by default; v1/v2 files carry no
-    /// checksums and are unaffected). For trusted media and for measuring
-    /// the verification overhead — corruption then goes undetected.
-    /// Configure before sharing the oracle across threads.
-    pub fn disable_checksum_validation(&mut self) {
-        self.cached.clear_checksums();
     }
 
     /// Number of stored pairs (the oracle's size; `O(s²n)`).
@@ -167,15 +127,13 @@ impl<S: PageStore> DiskDistanceOracle<S> {
         self.stretch
     }
 
-    /// The guaranteed relative error bound: the file's max per-pair cap
-    /// (v2), or the a-priori `4t/s` for v1 files that carry no caps —
+    /// The guaranteed relative error bound: the file's max per-pair cap —
     /// bit-identical to the memory oracle this file was written from.
     pub fn epsilon(&self) -> f64 {
         self.eps_max
     }
 
-    /// The classic a-priori first-order bound `≈ 4t/s` (what v1 files
-    /// reported as their only ε).
+    /// The classic a-priori first-order bound `≈ 4t/s`.
     pub fn epsilon_apriori(&self) -> f64 {
         4.0 * self.stretch / self.separation
     }
@@ -208,76 +166,36 @@ impl<S: PageStore> DiskDistanceOracle<S> {
     /// Fetches node `a`'s pair group: the decoded cache first, then the
     /// buffer pool, then the store. A store fault (after the pool's
     /// retries), a checksum mismatch, or structural corruption of the group
-    /// (records not sorted — which would silently break the binary search —
-    /// or an invalid error cap) surfaces as a typed error; nothing is
-    /// cached, so a later call re-attempts the read.
+    /// (records not strictly sorted — which would silently break the binary
+    /// search — or an invalid error cap) surfaces as a typed error; nothing
+    /// is cached, so a later call re-attempts the read.
     fn try_load_group(&self, a: u32) -> Result<Arc<[PairRecord]>, PcpError> {
         Ok(self.cached.try_get_or_decode(a as u64, |pool| self.decode_group(pool, a))?)
     }
 
-    /// Decodes node `a`'s pair group from its pages through the pool.
-    /// Version-aware: v4 records are delta+varint compressed with the
-    /// representatives elided (derived from the pinned split tree); v1
-    /// records carry no cap, so the file's global a-priori bound is
-    /// substituted — exactly the ε a v1 oracle promised. Structural
-    /// violations come back as `InvalidData`, which [`PcpError::from`]
-    /// lifts to [`PcpError::Corrupt`].
+    /// Decodes node `a`'s pair group from its pages through the pool. The
+    /// group's span ends where the next group starts (or the pair region
+    /// ends). Structural violations come back as `InvalidData` naming the
+    /// group, which [`PcpError::from`] lifts to [`PcpError::Corrupt`].
     fn decode_group(&self, pool: &BufferPool<S>, a: u32) -> io::Result<Arc<[PairRecord]>> {
         let (start, count) = self.directory[a as usize];
-        let (byte_lo, byte_hi) = if self.version >= 4 {
-            // `start` is a byte offset; the group ends where the next one
-            // starts (or the pair region ends).
-            let end = self.directory.get(a as usize + 1).map_or(self.pairs_len, |d| d.0);
-            (self.pairs_base + start, self.pairs_base + end)
-        } else {
-            let lo = self.pairs_base + start * self.pair_bytes as u64;
-            (lo, lo + count as u64 * self.pair_bytes as u64)
-        };
-        let mut raw = Vec::with_capacity((byte_hi.saturating_sub(byte_lo)) as usize);
-        pool.read_range(byte_lo, byte_hi, &mut raw)?;
-        let records = if self.version >= 4 {
-            self.decode_group_v4(a, &raw, count).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("pair group {a}: {e}"))
-            })?
-        } else {
-            let mut r = &raw[..];
-            let mut records = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                records.push(PairRecord {
-                    b: r.get_u32_le(),
-                    rep_a: r.get_u32_le(),
-                    rep_b: r.get_u32_le(),
-                    dist: r.get_f64_le(),
-                    max_err: if self.version >= 2 { r.get_f64_le() } else { self.eps_max },
-                });
-            }
-            records
-        };
-        if !records.windows(2).all(|w| w[0].b < w[1].b) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("pair group {a} is not sorted by node id"),
-            ));
-        }
-        // Cap-section corruption is invisible to open-time metadata
-        // validation; a nonsensical cap would silently poison interval
-        // math downstream, so it fails loudly here instead.
-        if !records.iter().all(|rec| !rec.max_err.is_nan() && rec.max_err >= 0.0) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("pair group {a} holds an invalid error cap"),
-            ));
-        }
+        let end = self.directory.get(a as usize + 1).map_or(self.pairs_len, |d| d.0);
+        let mut raw = Vec::with_capacity((end - start) as usize);
+        pool.read_range(self.pairs_base + start, self.pairs_base + end, &mut raw)?;
+        let records = self.decode_records(a, &raw, count).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("pair group {a}: {e}"))
+        })?;
         Ok(records.into())
     }
 
-    /// Decodes one v4 compressed group span: per record a varint `b` delta
+    /// Decodes one compressed group span: per record a varint `b` delta
     /// (first absolute, later gaps — a zero gap would break the strict
     /// ordering the binary search relies on and is rejected), the `f64`
     /// distance and cap bits verbatim, and the representatives derived from
-    /// the split tree. Every failure is a typed error, never a panic; the
-    /// span must be consumed exactly.
-    fn decode_group_v4(&self, a: u32, raw: &[u8], count: u32) -> io::Result<Vec<PairRecord>> {
+    /// the split tree. A NaN or negative cap would silently poison interval
+    /// math downstream, so it is rejected too. Every failure is a typed
+    /// error, never a panic; the span must be consumed exactly.
+    fn decode_records(&self, a: u32, raw: &[u8], count: u32) -> io::Result<Vec<PairRecord>> {
         use crate::split_tree::NodeRef;
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let node_count = self.directory.len() as u64;
@@ -301,6 +219,9 @@ impl<S: PageStore> DiskDistanceOracle<S> {
             }
             let dist = r.f64_le()?;
             let max_err = r.f64_le()?;
+            if max_err.is_nan() || max_err < 0.0 {
+                return Err(bad(format!("node {b} holds an invalid error cap")));
+            }
             prev_b = Some(b);
             records.push(PairRecord {
                 b: b as u32,
@@ -371,8 +292,7 @@ impl<S: PageStore> DiskDistanceOracle<S> {
         Ok(self.try_locate(u, v)?.0.dist)
     }
 
-    /// Approximate distance together with the covering pair's own error cap
-    /// (v2+; v1 files answer the global a-priori bound for every pair).
+    /// Approximate distance together with the covering pair's own error cap.
     /// `(0, 0)` when `u == v`.
     ///
     /// # Panics
@@ -436,12 +356,10 @@ impl<S: PageStore> DiskDistanceOracle<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{
-        encode_oracle as encode, encode_oracle_v2, write_oracle, HEADER_BYTES, HEADER_BYTES_V2,
-        MAGIC,
-    };
+    use crate::format::{encode_oracle as encode, write_oracle, HEADER_BYTES, VERSION};
     use silc_network::generate::{road_network, RoadConfig};
     use silc_network::SpatialNetwork;
+    use silc_storage::checksum::seal;
     use std::io;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -611,100 +529,70 @@ mod tests {
 
     #[test]
     fn corrupt_directory_rejected() {
-        // v2 bytes: no checksum table, so the flip reaches the structural
-        // validator (under v3 the page checksum would catch it first).
+        // The directory's byte starts must begin at 0 and never decrease;
+        // the image is re-sealed so the edit reaches the validator.
         let g = network();
         let mem = DistanceOracle::build(&g, 10, 2.0);
-        let bytes = encode_oracle_v2(&mem);
-        // The directory's first group start sits right before the pair
-        // region; breaking contiguity must be caught.
-        let meta_len = {
-            let mut h = &bytes[HEADER_BYTES_V2 - 8..HEADER_BYTES_V2];
-            h.get_u64_le() as usize
+        let bytes = encode(&mem);
+        let node_count = mem.tree().raw_nodes().len();
+        let (pairs_base, _, dir) = v4_layout(&bytes, node_count);
+        let dir_base = pairs_base - node_count * 12;
+        let open_with_start = |node: usize, start: u64| {
+            let mut broken = bytes.clone();
+            broken[dir_base + node * 12..][..8].copy_from_slice(&start.to_le_bytes());
+            retable(&mut broken);
+            match DiskDistanceOracle::from_store(MemPageStore::new(&broken), 0.5, None) {
+                Err(PcpError::Corrupt(msg)) => msg,
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+            }
         };
-        let dir_first_start = meta_len - mem.tree().raw_nodes().len() * 12;
-        let mut broken = bytes.clone();
-        broken[dir_first_start] = 1;
-        match DiskDistanceOracle::from_store(MemPageStore::new(&broken), 0.5, None) {
-            Err(PcpError::Corrupt(msg)) => assert!(msg.contains("contiguous"), "{msg}"),
-            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
-        }
-        assert_eq!(&bytes[..8], MAGIC, "layout assumption: magic leads the header");
+        assert!(open_with_start(0, 1).contains("does not start at byte offset 0"));
+        let last = node_count - 1;
+        assert!(dir[last - 1].0 > 0, "layout assumption: earlier groups hold pairs");
+        assert!(open_with_start(last, 0).contains("not sorted"));
     }
 
     #[test]
     fn unsorted_pair_group_fails_loudly() {
         // Pair-region corruption is invisible to open-time metadata checks;
-        // an unsorted group must abort the query with a clear message, not
-        // silently miss pairs in the binary search.
+        // a group whose records are not strictly sorted by `b` (a zero
+        // delta) must abort the query with a clear message, not silently
+        // miss pairs in the binary search.
         let g = network();
         let mem = DistanceOracle::build(&g, 10, 2.0);
-        let bytes = encode_oracle_v2(&mem);
-        let pairs_base = {
-            let mut h = &bytes[HEADER_BYTES_V2 - 8..HEADER_BYTES_V2];
-            h.get_u64_le() as usize
-        };
-        // Walk the serialized directory to find a group with ≥ 2 records,
-        // then duplicate its first b into its second — strict ordering
-        // broken, metadata untouched.
-        let node_count = mem.tree().raw_nodes().len();
-        let dir_base = pairs_base - node_count * 12;
-        let (start, _count) = (0..node_count)
-            .map(|i| {
-                let mut d = &bytes[dir_base + i * 12..dir_base + (i + 1) * 12];
-                (d.get_u64_le() as usize, d.get_u32_le())
+        let bytes = encode(&mem);
+        let (pairs_base, _, dir) = v4_layout(&bytes, mem.tree().raw_nodes().len());
+        // A ≥2-record group whose second delta is a single-byte varint.
+        let zero_at = dir
+            .iter()
+            .filter(|&&(_, c)| c >= 2)
+            .find_map(|&(s, _)| {
+                let (_, used) = silc_storage::varint::decode_u64(&bytes[pairs_base + s..]).unwrap();
+                let at = pairs_base + s + used + 16;
+                (bytes[at] < 0x80).then_some(at)
             })
-            .find(|&(_, count)| count >= 2)
-            .expect("some node stores at least two pairs");
-        let rec = |i: usize| pairs_base + (start + i) * crate::format::PAIR_BYTES;
+            .expect("a multi-record group with a one-byte delta");
         let mut broken = bytes.clone();
-        let first_b: [u8; 4] = broken[rec(0)..rec(0) + 4].try_into().unwrap();
-        broken[rec(1)..rec(1) + 4].copy_from_slice(&first_b);
+        broken[zero_at] = 0x00;
+        retable(&mut broken);
         let disk = DiskDistanceOracle::from_store(MemPageStore::new(&broken), 1.0, None).unwrap();
-        let n = g.vertex_count() as u32;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for u in 0..n {
-                for v in 0..n {
-                    let _ = disk.distance(VertexId(u), VertexId(v));
-                }
-            }
-        }));
-        let err = result.expect_err("the corrupted group must abort a query");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("not sorted"), "unexpected panic message: {msg}");
+        let msg = sweep_panic(&disk, g.vertex_count() as u32);
+        assert!(msg.contains("not strictly sorted"), "unexpected panic message: {msg}");
     }
 
     #[test]
-    fn v1_file_opens_with_apriori_epsilon() {
-        // Backward compatibility: a version-1 file (20-byte records, no cap
-        // fields) must open, answer bit-identical distances, and fall back
-        // to the a-priori 4t/s bound — the only ε a v1 oracle ever had.
+    fn retired_versions_are_refused_with_a_rebuild_hint() {
         let g = network();
-        let mem = DistanceOracle::build(&g, 10, 4.0);
-        let v1 = crate::format::encode_oracle_v1(&mem);
-        let disk = DiskDistanceOracle::from_store(MemPageStore::new(&v1), 0.5, None).unwrap();
-        assert_eq!(disk.format_version(), 1);
-        assert_eq!(disk.pair_count(), mem.pair_count());
-        assert_eq!(disk.stretch().to_bits(), mem.stretch().to_bits());
-        assert_eq!(
-            disk.epsilon().to_bits(),
-            mem.epsilon_apriori().to_bits(),
-            "a v1 file's guaranteed ε is the a-priori bound"
-        );
-        let n = g.vertex_count() as u32;
-        for u in (0..n).step_by(3) {
-            for v in (0..n).step_by(7) {
-                let (u, v) = (VertexId(u), VertexId(v));
-                assert_eq!(mem.distance(u, v).to_bits(), disk.distance(u, v).to_bits());
-                let (d, eps) = disk.distance_with_epsilon(u, v);
-                assert_eq!(d.to_bits(), disk.distance(u, v).to_bits());
-                if u != v {
-                    assert_eq!(
-                        eps.to_bits(),
-                        disk.epsilon().to_bits(),
-                        "every v1 pair answers the global bound"
-                    );
-                }
+        let bytes = encode(&DistanceOracle::build(&g, 10, 2.0));
+        for version in 1..VERSION {
+            let mut forged = bytes.clone();
+            forged[8..12].copy_from_slice(&version.to_le_bytes());
+            match DiskDistanceOracle::from_store(MemPageStore::new(&forged), 0.5, None) {
+                Err(PcpError::Corrupt(msg)) => assert!(
+                    msg.contains(&format!("version {version}")) && msg.contains("rebuild"),
+                    "{msg}"
+                ),
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
             }
         }
     }
@@ -716,29 +604,38 @@ mod tests {
         // instead of silently poisoning downstream interval math.
         let g = network();
         let mem = DistanceOracle::build(&g, 10, 2.0);
-        let bytes = encode_oracle_v2(&mem);
-        let pairs_base = {
-            let mut h = &bytes[HEADER_BYTES_V2 - 8..HEADER_BYTES_V2];
-            h.get_u64_le() as usize
-        };
+        let bytes = encode(&mem);
+        let (pairs_base, _, dir) = v4_layout(&bytes, mem.tree().raw_nodes().len());
+        // The cap of the very first stored record.
+        let first = pairs_base + dir.iter().find(|&&(_, c)| c >= 1).unwrap().0;
+        let (_, used) = silc_storage::varint::decode_u64(&bytes[first..]).unwrap();
+        let cap_at = first + used + 8;
         for bad in [f64::NAN, -0.25] {
-            // Corrupt the cap of the very first stored record.
-            let cap_at = pairs_base + crate::format::PAIR_BYTES - 8;
             let mut broken = bytes.clone();
             broken[cap_at..cap_at + 8].copy_from_slice(&bad.to_le_bytes());
+            retable(&mut broken);
             let disk =
                 DiskDistanceOracle::from_store(MemPageStore::new(&broken), 1.0, None).unwrap();
-            let n = g.vertex_count() as u32;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for u in 0..n {
-                    for v in 0..n {
-                        let _ = disk.distance(VertexId(u), VertexId(v));
-                    }
-                }
-            }));
-            let err = result.expect_err("the corrupted cap must abort a query");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            let msg = sweep_panic(&disk, g.vertex_count() as u32);
             assert!(msg.contains("invalid error cap"), "unexpected panic message: {msg}");
+        }
+    }
+
+    #[test]
+    fn hostile_header_words_are_typed_errors_not_panics() {
+        let g = network();
+        let bytes = encode(&DistanceOracle::build(&g, 10, 2.0));
+        let cksum_base = read_u64(&bytes, HEADER_BYTES - 24);
+        for at in 0..=HEADER_BYTES - 8 {
+            for word in [0, u64::MAX, !(silc_storage::PAGE_SIZE as u64 - 1)] {
+                let mut data = bytes.clone();
+                data[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                // Ok or a typed error both pass; a panic fails the test.
+                let _ = DiskDistanceOracle::from_store(MemPageStore::new(&data), 0.5, None);
+                data.truncate(cksum_base);
+                seal(&mut data);
+                let _ = DiskDistanceOracle::from_store(MemPageStore::new(&data), 0.5, None);
+            }
         }
     }
 
@@ -754,24 +651,11 @@ mod tests {
     }
 
     #[test]
-    fn truncated_v1_file_rejected() {
-        // The v1 span check must use v1 record sizes: cutting the pair
-        // region of a v1 file is caught at open time.
-        let g = network();
-        let mem = DistanceOracle::build(&g, 10, 3.0);
-        let bytes = crate::format::encode_oracle_v1(&mem);
-        let cut = (bytes.len() / (2 * silc_storage::PAGE_SIZE)) * silc_storage::PAGE_SIZE;
-        let store = MemPageStore::new(&bytes[..cut.min(bytes.len() - 1)]);
-        assert!(DiskDistanceOracle::from_store(store, 0.5, None).is_err());
-    }
-
-    #[test]
     fn per_pair_epsilon_round_trips_bit_exactly() {
         let g = network();
         let mem = DistanceOracle::build(&g, 10, 4.0);
         let disk =
             DiskDistanceOracle::from_store(MemPageStore::new(&encode(&mem)), 0.5, None).unwrap();
-        assert_eq!(disk.format_version(), crate::format::VERSION);
         assert_eq!(disk.epsilon().to_bits(), mem.epsilon().to_bits());
         assert_eq!(disk.epsilon_apriori().to_bits(), mem.epsilon_apriori().to_bits());
         let n = g.vertex_count() as u32;
@@ -788,29 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_file_opens_with_its_caps() {
-        // Backward compatibility one version back: a v2 file (per-pair caps
-        // but no checksum table) opens, reports its version, and answers
-        // bit-identically including the per-pair ε.
-        let g = network();
-        let mem = DistanceOracle::build(&g, 10, 4.0);
-        let v2 = encode_oracle_v2(&mem);
-        let disk = DiskDistanceOracle::from_store(MemPageStore::new(&v2), 0.5, None).unwrap();
-        assert_eq!(disk.format_version(), 2);
-        assert_eq!(disk.epsilon().to_bits(), mem.epsilon().to_bits());
-        let n = g.vertex_count() as u32;
-        for u in (0..n).step_by(3) {
-            for v in (0..n).step_by(7) {
-                let (u, v) = (VertexId(u), VertexId(v));
-                let (md, me) = mem.distance_with_epsilon(u, v);
-                let (dd, de) = disk.distance_with_epsilon(u, v);
-                assert_eq!(md.to_bits(), dd.to_bits());
-                assert_eq!(me.to_bits(), de.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn checksums_catch_pair_region_bit_flips() {
         // A bit flip anywhere in the pair region of a current-version file
         // must surface as a typed Corrupt error naming the page — never a
@@ -818,16 +679,12 @@ mod tests {
         let g = network();
         let mem = DistanceOracle::build(&g, 10, 3.0);
         let bytes = encode(&mem);
-        let pairs_base = {
-            let mut h = &bytes[HEADER_BYTES - 8..HEADER_BYTES];
-            h.get_u64_le() as usize
-        };
+        let pairs_base = read_u64(&bytes, HEADER_BYTES - 8);
         let victim_page = pairs_base / silc_storage::PAGE_SIZE + 1;
         let flip_at = victim_page * silc_storage::PAGE_SIZE + 17;
         let mut broken = bytes.clone();
         broken[flip_at] ^= 0x04;
         let disk = DiskDistanceOracle::from_store(MemPageStore::new(&broken), 1.0, None).unwrap();
-        assert_eq!(disk.format_version(), crate::format::VERSION);
         let n = g.vertex_count() as u32;
         let mut hit = false;
         'sweep: for u in 0..n {
@@ -858,7 +715,7 @@ mod tests {
 
     #[test]
     fn metadata_corruption_is_caught_at_open() {
-        // v3 verifies the whole pinned metadata span at open time.
+        // The whole pinned metadata span is verified at open time.
         let g = network();
         let mem = DistanceOracle::build(&g, 10, 2.0);
         let bytes = encode(&mem);
@@ -884,80 +741,56 @@ mod tests {
     }
 
     #[test]
-    fn v3_file_opens_with_fixed_records_and_checksums() {
-        // Backward compatibility one version back: a v3 file (fixed 28-byte
-        // records with a checksum table) opens, reports its version, and
-        // answers bit-identically including the per-pair ε.
-        let g = network();
-        let mem = DistanceOracle::build(&g, 10, 4.0);
-        let v3 = crate::format::encode_oracle_v3(&mem);
-        let disk = DiskDistanceOracle::from_store(MemPageStore::new(&v3), 0.5, None).unwrap();
-        assert_eq!(disk.format_version(), 3);
-        assert_eq!(disk.pair_count(), mem.pair_count());
-        assert_eq!(disk.epsilon().to_bits(), mem.epsilon().to_bits());
-        let n = g.vertex_count() as u32;
-        for u in (0..n).step_by(3) {
-            for v in (0..n).step_by(7) {
-                let (u, v) = (VertexId(u), VertexId(v));
-                let (md, me) = mem.distance_with_epsilon(u, v);
-                let (dd, de) = disk.distance_with_epsilon(u, v);
-                assert_eq!(md.to_bits(), dd.to_bits());
-                assert_eq!(me.to_bits(), de.to_bits());
-            }
-        }
-        // Its checksum table still guards the metadata.
-        let mut broken = v3.clone();
-        broken[crate::format::HEADER_BYTES_V3 + 40] ^= 0x01;
-        match DiskDistanceOracle::from_store(MemPageStore::new(&broken), 0.5, None) {
-            Err(PcpError::Corrupt(msg)) => assert!(msg.contains("checksum mismatch"), "{msg}"),
-            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
     fn v4_pair_region_shrinks_by_at_least_thirty_percent() {
         let g = network();
         let mem = DistanceOracle::build(&g, 10, 4.0);
         let v4 = encode(&mem);
         let disk = DiskDistanceOracle::from_store(MemPageStore::new(&v4), 0.5, None).unwrap();
-        let fixed = (mem.pair_count() * crate::format::PAIR_BYTES) as f64;
+        // Against the fixed 28-byte records of the retired versions 2 and 3.
+        let fixed = (mem.pair_count() * 28) as f64;
         let compressed = disk.pair_region_bytes() as f64;
         assert!(
             compressed <= 0.7 * fixed,
             "pair region must shrink ≥30%: {compressed} vs fixed {fixed}"
         );
-        // The whole file shrinks too (the metadata region is shared).
-        let v3 = crate::format::encode_oracle_v3(&mem);
-        assert!(v4.len() < v3.len(), "v4 file {} must be smaller than v3 {}", v4.len(), v3.len());
     }
 
-    /// Recomputes the checksum table of a current-version byte image after
-    /// a test tampered with it, so the edit reaches the structural
-    /// validators instead of being caught by a page checksum first.
+    fn read_u64(bytes: &[u8], at: usize) -> usize {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    /// Re-seals a tampered image (header untouched) over its payload, so
+    /// the edit reaches the structural validators instead of being caught
+    /// by a page checksum first.
     fn retable(bytes: &mut Vec<u8>) {
-        let cksum_base = {
-            let mut h = &bytes[HEADER_BYTES - 24..HEADER_BYTES - 16];
-            h.get_u64_le() as usize
-        };
-        let table = silc_storage::ChecksumTable::compute(&bytes[..cksum_base]);
-        bytes.truncate(cksum_base);
-        bytes.extend_from_slice(&table.to_bytes());
+        bytes.truncate(read_u64(bytes, HEADER_BYTES - 24));
+        seal(bytes);
     }
 
-    /// The pair-region layout of a current-version byte image:
+    /// Sweeps every pair through the panicking API and returns the message
+    /// of the panic a corrupt group must raise.
+    fn sweep_panic(disk: &DiskDistanceOracle<MemPageStore>, n: u32) -> String {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for u in 0..n {
+                for v in 0..n {
+                    let _ = disk.distance(VertexId(u), VertexId(v));
+                }
+            }
+        }));
+        let err = result.expect_err("the corrupted group must abort a query");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    /// The pair-region layout of an encoded image:
     /// `(pairs_base, pairs_len, per-node (byte start, count))`.
     fn v4_layout(bytes: &[u8], node_count: usize) -> (usize, usize, Vec<(usize, u32)>) {
-        let read_u64 = |at: usize| {
-            let mut h = &bytes[at..at + 8];
-            h.get_u64_le() as usize
-        };
-        let pairs_base = read_u64(HEADER_BYTES - 8);
-        let pairs_len = read_u64(HEADER_BYTES - 16);
+        let pairs_base = read_u64(bytes, HEADER_BYTES - 8);
+        let pairs_len = read_u64(bytes, HEADER_BYTES - 16);
         let dir_base = pairs_base - node_count * 12;
         let dir = (0..node_count)
             .map(|i| {
-                let mut d = &bytes[dir_base + i * 12..dir_base + (i + 1) * 12];
-                (d.get_u64_le() as usize, d.get_u32_le())
+                let d = &bytes[dir_base + i * 12..];
+                (read_u64(d, 0), u32::from_le_bytes(d[8..12].try_into().unwrap()))
             })
             .collect();
         (pairs_base, pairs_len, dir)
@@ -966,7 +799,7 @@ mod tests {
     #[test]
     fn corrupt_v4_records_surface_as_typed_corruption_not_panics() {
         // Every way a compressed record can be malformed — over-long
-        // varint, zero b delta, b past the node table, a record run that
+        // varint, b past the node table, a record run that
         // does not consume its directory span exactly — must surface as a
         // typed Corrupt error naming the group, never a panic or a silent
         // misread. Each tampered image gets its checksum table recomputed
@@ -1007,24 +840,7 @@ mod tests {
             "{msg}"
         );
 
-        // (b) Zero b delta: breaks the strict ordering the binary search
-        // relies on. Pick a ≥2-record group whose second delta is a
-        // single-byte varint and zero it.
-        let (_, zero_at) = dir
-            .iter()
-            .filter(|&&(_, c)| c >= 2)
-            .find_map(|&(s, _)| {
-                let (_, used) = silc_storage::varint::decode_u64(&bytes[pairs_base + s..]).unwrap();
-                let at = pairs_base + s + used + 16;
-                (bytes[at] < 0x80).then_some((s, at))
-            })
-            .expect("a multi-record group with a one-byte delta");
-        let mut broken = bytes.clone();
-        broken[zero_at] = 0x00;
-        let msg = sweep_err(broken);
-        assert!(msg.contains("zero b delta"), "{msg}");
-
-        // (c) b-side id past the node table.
+        // (b) b-side id past the node table.
         let mut broken = bytes.clone();
         let at = pairs_base + dir[ga].0;
         broken[at] = 0xFF;
@@ -1033,7 +849,7 @@ mod tests {
         let msg = sweep_err(broken);
         assert!(msg.contains("out of range"), "{msg}");
 
-        // (d) A record run that leaves its directory span unconsumed: turn
+        // (c) A record run that leaves its directory span unconsumed: turn
         // a multi-byte leading varint into the single byte 1 (a valid node
         // id), shifting every later field and stranding trailing bytes.
         if let Some(&(s, _)) = dir.iter().find(|&&(s, c)| c >= 1 && bytes[pairs_base + s] >= 0x80) {

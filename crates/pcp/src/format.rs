@@ -6,7 +6,7 @@
 //! the `O(s²n)` pair payload — the part that grows with accuracy — is laid
 //! out in fixed-size pages served through a `silc_storage::BufferPool`.
 //!
-//! ## File layout (version 4, current)
+//! ## File layout (version 4)
 //!
 //! ```text
 //! header    magic "SILCPCPD", version u32, n, node count, pair count,
@@ -36,29 +36,14 @@
 //!
 //! ## Versioning
 //!
-//! Version 4 **compressed the pair region**: the `b`-side node ids of a
-//! group are delta+varint coded (canonical LEB128, see
-//! `silc_storage::varint`), the two representative vertex ids are elided
-//! (derivable from the split tree, asserted at encode time), and the
-//! directory switched from pair-index to byte offsets because records are
-//! now variable-length. Distance and cap stay full `f64` bits — answers
-//! remain **bit-identical** to the memory oracle. A record is ~17.5 bytes
-//! against the fixed 28, a ≥30 % pair-region shrink. The new `pairs_len`
-//! header field sits before `pairs_base`.
-//!
-//! Version 3 added the **per-page checksum table**: the metadata region is
-//! verified once at open time and every pair page on its physical read.
-//! The new `cksum_base` header field sits *before* `pairs_base`, so the
-//! pair-region offset stays the last 8 header bytes in every version.
-//!
-//! Version 2 added the **per-pair error caps**: an 8-byte `max_err` per
-//! pair record plus the guaranteed ε (the maximum cap) in the header, so a
-//! disk oracle can answer `distance_with_epsilon` without scanning the pair
-//! region at open time. Version 1 files (20-byte records, no cap fields)
-//! **remain readable**: the open path substitutes the classic a-priori
-//! `4·stretch/separation` bound for every pair, which is exactly what a v1
-//! oracle guaranteed. Versions 1–3 stay readable (v1/v2 without page
-//! verification — they carry no table); new files are always version 4.
+//! Version 4 is the one version this module writes and reads. It
+//! **compressed the pair region** of the fixed-width versions 1–3: the
+//! `b`-side node ids of a group are delta+varint coded (canonical LEB128,
+//! see `silc_storage::varint`), the two representative vertex ids are
+//! elided (derivable from the split tree, asserted at encode time), and
+//! the directory holds byte offsets because records are variable-length.
+//! A file of a retired version is refused at open with a
+//! [`PcpError::Corrupt`] that names its version and asks for a rebuild.
 //!
 //! Representative distances and caps are stored as full `f64` bits, so the
 //! disk oracle's answers are **bit-identical** to the memory oracle it was
@@ -66,35 +51,22 @@
 
 use crate::error::PcpError;
 use crate::oracle::DistanceOracle;
-use crate::split_tree::{Node, SplitTree};
+use crate::split_tree::{Node, NodeRef, SplitTree};
 use bytes::{Buf, BufMut};
 use silc_geom::Rect;
 use silc_morton::{MortonBlock, MortonCode};
+use silc_storage::checksum::{open_table, seal};
 use silc_storage::{
     read_span, read_span_verified, varint, ChecksumTable, FilePageStore, PageStore, PAGE_SIZE,
 };
 use std::path::Path;
-use std::sync::Arc;
 
 pub(crate) const MAGIC: &[u8; 8] = b"SILCPCPD";
-/// Current (written) format version.
+/// The format version written and read.
 pub const VERSION: u32 = 4;
-/// Header size of the current version. The pair-region offset is always
-/// the *last* 8 header bytes; v4 inserted the pair-region byte length
-/// right before it.
-pub(crate) const HEADER_BYTES: usize = HEADER_BYTES_V3 + 8;
-/// Header size of version 3 (no pair-region byte length — records were
-/// fixed-size, so the length was `pair_count × PAIR_BYTES`).
-pub(crate) const HEADER_BYTES_V3: usize = HEADER_BYTES_V2 + 8;
-/// Header size of version 2 (additionally lacks the checksum-table offset).
-pub(crate) const HEADER_BYTES_V2: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
-/// Header size of version 1 (additionally lacks the guaranteed-ε field).
-pub(crate) const HEADER_BYTES_V1: usize = HEADER_BYTES_V2 - 8;
-/// Bytes per serialized pair record in the fixed-record versions 2 and 3
-/// (version 4 records are variable-length; see the module docs).
-pub const PAIR_BYTES: usize = 28;
-/// Bytes per pair record in version-1 files (no per-pair cap).
-pub const PAIR_BYTES_V1: usize = 20;
+/// Header size. The pair-region offset is the *last* 8 header bytes,
+/// right after the pair-region byte length.
+pub(crate) const HEADER_BYTES: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8;
 
 /// One decoded pair record of a directory group (the `a`-side node is the
 /// group key and is not repeated per record).
@@ -104,59 +76,21 @@ pub(crate) struct PairRecord {
     pub(crate) rep_a: u32,
     pub(crate) rep_b: u32,
     pub(crate) dist: f64,
-    /// The pair's own error cap (v2); for v1 files the open path fills in
-    /// the file's global a-priori bound.
+    /// The pair's own error cap.
     pub(crate) max_err: f64,
 }
 
-/// Serializes `oracle` into the paged byte layout (what [`write_oracle`]
-/// writes before page padding), at the current format version.
-/// Deterministic: equal oracles encode to equal bytes (groups are emitted
-/// in node order, records sorted by `b`), so re-serialization round-trips
-/// byte-exactly. Public so tests and memory-backed deployments can feed a
-/// `MemPageStore` directly.
+/// Serializes `oracle` into its sealed paged byte image (what
+/// [`write_oracle`] writes before page padding). Deterministic: equal
+/// oracles encode to equal bytes (groups are emitted in node order, records
+/// sorted by `b`), so re-serialization round-trips byte-exactly. Public so
+/// tests and memory-backed deployments can feed a `MemPageStore` directly.
 pub fn encode_oracle(oracle: &DistanceOracle) -> Vec<u8> {
-    encode_with_version(oracle, VERSION)
-}
-
-/// Version-1 encoder, kept for the backward-compatibility tests: the layout
-/// old deployments hold on disk (20-byte records, no cap fields).
-#[cfg(test)]
-pub(crate) fn encode_oracle_v1(oracle: &DistanceOracle) -> Vec<u8> {
-    encode_with_version(oracle, 1)
-}
-
-/// Version-2 encoder (no checksum table), kept for the backward-
-/// compatibility path and for corruption tests whose byte flips must reach
-/// the structural validators rather than be caught by a page checksum.
-#[cfg(test)]
-pub(crate) fn encode_oracle_v2(oracle: &DistanceOracle) -> Vec<u8> {
-    encode_with_version(oracle, 2)
-}
-
-/// Version-3 encoder (fixed 28-byte records with checksum table), kept for
-/// the backward-compatibility tests and the compression-ratio benches.
-pub fn encode_oracle_v3(oracle: &DistanceOracle) -> Vec<u8> {
-    encode_with_version(oracle, 3)
-}
-
-pub(crate) fn header_bytes_for(version: u32) -> usize {
-    match version {
-        1 => HEADER_BYTES_V1,
-        2 => HEADER_BYTES_V2,
-        3 => HEADER_BYTES_V3,
-        _ => HEADER_BYTES,
-    }
-}
-
-fn encode_with_version(oracle: &DistanceOracle, version: u32) -> Vec<u8> {
     let tree = oracle.tree();
     let nodes = tree.raw_nodes();
     let sorted = tree.raw_sorted();
     let n = sorted.len();
     let node_count = nodes.len();
-    let header_bytes = header_bytes_for(version);
-    let pair_bytes = if version >= 2 { PAIR_BYTES } else { PAIR_BYTES_V1 };
 
     // Group the stored pairs by their a-side node — the unit the disk
     // oracle decodes and caches — sorted by b for binary search.
@@ -175,59 +109,49 @@ fn encode_with_version(oracle: &DistanceOracle, version: u32) -> Vec<u8> {
     }
     let pair_count: u64 = groups.iter().map(|g| g.len() as u64).sum();
 
-    // v4: serialize the pair region up front — records are variable-length,
-    // so the directory needs the per-group byte starts and the header the
+    // Serialize the pair region up front — records are variable-length, so
+    // the directory needs the per-group byte starts and the header the
     // total byte length. The representatives are elided; the build always
     // stores the split tree's canonical representative of each node, which
     // the assert pins down so a drift in the build could never write a
     // lossy file.
     let mut pair_buf = Vec::new();
     let mut group_byte_starts = Vec::with_capacity(node_count);
-    if version >= 4 {
-        for (a, g) in groups.iter().enumerate() {
-            group_byte_starts.push(pair_buf.len() as u64);
-            let mut prev_b: Option<u32> = None;
-            for r in g {
-                use crate::split_tree::NodeRef;
-                debug_assert_eq!(r.rep_a, tree.representative(NodeRef(a as u32)).0);
-                debug_assert_eq!(r.rep_b, tree.representative(NodeRef(r.b)).0);
-                let delta = match prev_b {
-                    None => r.b as u64,
-                    Some(p) => (r.b - p) as u64, // strictly sorted: never 0
-                };
-                varint::encode_u64(delta, &mut pair_buf);
-                pair_buf.put_f64_le(r.dist);
-                pair_buf.put_f64_le(r.max_err);
-                prev_b = Some(r.b);
-            }
+    for (a, g) in groups.iter().enumerate() {
+        group_byte_starts.push(pair_buf.len() as u64);
+        let mut prev_b: Option<u32> = None;
+        for r in g {
+            debug_assert_eq!(r.rep_a, tree.representative(NodeRef(a as u32)).0);
+            debug_assert_eq!(r.rep_b, tree.representative(NodeRef(r.b)).0);
+            let delta = match prev_b {
+                None => r.b as u64,
+                Some(p) => (r.b - p) as u64, // strictly sorted: never 0
+            };
+            varint::encode_u64(delta, &mut pair_buf);
+            pair_buf.put_f64_le(r.dist);
+            pair_buf.put_f64_le(r.max_err);
+            prev_b = Some(r.b);
         }
     }
 
     let nodes_bytes: usize =
         nodes.iter().map(|nd| 8 + 1 + 32 + 8 + 1 + 4 * nd.children.len()).sum();
-    let meta_len = header_bytes + n * 12 + nodes_bytes + node_count * 12;
-    let pairs_len = if version >= 4 { pair_buf.len() } else { pair_count as usize * pair_bytes };
-    let payload_len = meta_len + pairs_len;
-    // The checksum table (v3+) starts on the page boundary after the payload.
+    let meta_len = HEADER_BYTES + n * 12 + nodes_bytes + node_count * 12;
+    let payload_len = meta_len + pair_buf.len();
+    // The checksum table starts on the page boundary after the payload.
     let cksum_base = payload_len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
 
     let mut buf = Vec::with_capacity(payload_len);
     buf.put_slice(MAGIC);
-    buf.put_u32_le(version);
+    buf.put_u32_le(VERSION);
     buf.put_u32_le(n as u32);
     buf.put_u32_le(node_count as u32);
     buf.put_u64_le(pair_count);
     buf.put_f64_le(oracle.separation());
     buf.put_f64_le(oracle.stretch());
-    if version >= 2 {
-        buf.put_f64_le(oracle.epsilon());
-    }
-    if version >= 3 {
-        buf.put_u64_le(cksum_base as u64);
-    }
-    if version >= 4 {
-        buf.put_u64_le(pairs_len as u64);
-    }
+    buf.put_f64_le(oracle.epsilon());
+    buf.put_u64_le(cksum_base as u64);
+    buf.put_u64_le(pair_buf.len() as u64);
     buf.put_u64_le(meta_len as u64);
     for &(code, v) in sorted {
         buf.put_u64_le(code);
@@ -247,43 +171,13 @@ fn encode_with_version(oracle: &DistanceOracle, version: u32) -> Vec<u8> {
             buf.put_u32_le(c.0);
         }
     }
-    if version >= 4 {
-        // Directory in byte offsets — records are variable-length.
-        for (g, &start) in groups.iter().zip(&group_byte_starts) {
-            buf.put_u64_le(start);
-            buf.put_u32_le(g.len() as u32);
-        }
-    } else {
-        let mut start = 0u64;
-        for g in &groups {
-            buf.put_u64_le(start);
-            buf.put_u32_le(g.len() as u32);
-            start += g.len() as u64;
-        }
+    for (g, &start) in groups.iter().zip(&group_byte_starts) {
+        buf.put_u64_le(start);
+        buf.put_u32_le(g.len() as u32);
     }
     debug_assert_eq!(buf.len(), meta_len);
-    if version >= 4 {
-        buf.put_slice(&pair_buf);
-    } else {
-        for g in &groups {
-            for r in g {
-                buf.put_u32_le(r.b);
-                buf.put_u32_le(r.rep_a);
-                buf.put_u32_le(r.rep_b);
-                buf.put_f64_le(r.dist);
-                if version >= 2 {
-                    buf.put_f64_le(r.max_err);
-                }
-            }
-        }
-    }
-    if version >= 3 {
-        // Digest the page-padded payload image, then append the table on
-        // the next page boundary.
-        let table = ChecksumTable::compute(&buf);
-        buf.resize(cksum_base, 0);
-        buf.extend_from_slice(&table.to_bytes());
-    }
+    buf.put_slice(&pair_buf);
+    seal(&mut buf);
     buf
 }
 
@@ -296,56 +190,42 @@ pub fn write_oracle<P: AsRef<Path>>(oracle: &DistanceOracle, path: P) -> Result<
 /// The pinned metadata of an oracle file, parsed and validated.
 pub(crate) struct Parsed {
     pub(crate) tree: SplitTree,
-    /// Per-node `(start, pair count)` into the pair region. `start` is a
-    /// pair *index* in the fixed-record versions (≤ 3) and a *byte offset*
-    /// in version 4 (variable-length records).
+    /// Per-node `(byte start, pair count)` into the pair region.
     pub(crate) directory: Vec<(u64, u32)>,
     pub(crate) pair_count: u64,
     pub(crate) pairs_base: u64,
-    /// Byte length of the pair region (v4 header field; derived as
-    /// `pair_count × pair_bytes` for the fixed-record versions).
+    /// Byte length of the pair region.
     pub(crate) pairs_len: u64,
     pub(crate) separation: f64,
     pub(crate) stretch: f64,
-    /// The guaranteed ε: max per-pair cap for v2 files, the a-priori
-    /// `4·stretch/separation` for v1 files.
+    /// The guaranteed ε: the max per-pair cap.
     pub(crate) eps_max: f64,
-    /// Bytes per pair record in this file's version.
-    pub(crate) pair_bytes: usize,
-    /// The file's format version (1, 2 or 3).
-    pub(crate) version: u32,
-    /// The per-page checksum table (v3 files; earlier versions carry none).
-    pub(crate) checks: Option<Arc<ChecksumTable>>,
+    /// The per-page checksum table.
+    pub(crate) table: ChecksumTable,
 }
 
-/// Reads and validates the header + metadata region from a store. Accepts
-/// every version from 1 to the current (see the module docs).
+/// Reads and validates the header + metadata region from a store.
 pub(crate) fn parse<S: PageStore>(store: &S) -> Result<Parsed, PcpError> {
     let corrupt = |msg: &str| PcpError::Corrupt(msg.to_string());
-    let file_bytes = store.page_count() * PAGE_SIZE as u64;
-    if file_bytes < HEADER_BYTES_V1 as u64 {
+    if store.page_count() * (PAGE_SIZE as u64) < HEADER_BYTES as u64 {
         return Err(corrupt("file too small for header"));
     }
-    let probe = read_span(store, 0, HEADER_BYTES_V1)?;
-    let mut h = &probe[..];
-    let mut magic = [0u8; 8];
-    h.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let header = read_span(store, 0, HEADER_BYTES)?;
+    let (magic, mut h) = header.split_at(8);
+    if magic != MAGIC {
         return Err(corrupt("bad magic"));
     }
     let version = h.get_u32_le();
-    if version == 0 || version > VERSION {
+    if version != VERSION {
+        let why = if (1..VERSION).contains(&version) {
+            "retired; rebuild the oracle"
+        } else {
+            "unsupported"
+        };
         return Err(PcpError::Corrupt(format!(
-            "unsupported format version {version} (this build reads versions 1..={VERSION})"
+            "format version {version} is {why} (this build reads version {VERSION})"
         )));
     }
-    let header_bytes = header_bytes_for(version);
-    let pair_bytes = if version >= 2 { PAIR_BYTES } else { PAIR_BYTES_V1 };
-    if file_bytes < header_bytes as u64 {
-        return Err(corrupt("file too small for header"));
-    }
-    let header = read_span(store, 0, header_bytes)?;
-    let mut h = &header[12..]; // past magic + version, already validated
     let n = h.get_u32_le() as usize;
     let node_count = h.get_u32_le() as usize;
     if n == 0 || node_count == 0 {
@@ -357,10 +237,9 @@ pub(crate) fn parse<S: PageStore>(store: &S) -> Result<Parsed, PcpError> {
     let pair_count = h.get_u64_le();
     let separation = h.get_f64_le();
     let stretch = h.get_f64_le();
-    let eps_max = if version >= 2 { h.get_f64_le() } else { 4.0 * stretch / separation };
-    let cksum_base = if version >= 3 { h.get_u64_le() } else { 0 };
-    let pairs_len =
-        if version >= 4 { h.get_u64_le() } else { pair_count.saturating_mul(pair_bytes as u64) };
+    let eps_max = h.get_f64_le();
+    let cksum_base = h.get_u64_le();
+    let pairs_len = h.get_u64_le();
     let pairs_base = h.get_u64_le();
     if !separation.is_finite() || separation <= 0.0 || !stretch.is_finite() || stretch < 1.0 {
         return Err(corrupt("separation/stretch out of range"));
@@ -369,33 +248,15 @@ pub(crate) fn parse<S: PageStore>(store: &S) -> Result<Parsed, PcpError> {
         return Err(corrupt("guaranteed epsilon out of range"));
     }
 
-    // v3: load the checksum table so the metadata read below is verified.
-    let checks = if version >= 3 {
-        if cksum_base % PAGE_SIZE as u64 != 0 || cksum_base == 0 {
-            return Err(corrupt("checksum table is not page-aligned"));
-        }
-        let table_pages = (cksum_base / PAGE_SIZE as u64) as usize;
-        let table_bytes = table_pages * 8;
-        if cksum_base + table_bytes as u64 > file_bytes {
-            return Err(corrupt("checksum table extends past end of file"));
-        }
-        let raw = read_span(store, cksum_base as usize, table_bytes)?;
-        Some(Arc::new(ChecksumTable::from_bytes(&raw, table_pages)?))
-    } else {
-        None
-    };
-    // The payload (everything checksummed) ends where the table starts.
-    let payload_end = if version >= 3 { cksum_base } else { file_bytes };
-
-    let min_meta = header_bytes + n * 12 + node_count * (8 + 1 + 32 + 8 + 1) + node_count * 12;
-    if pairs_base < min_meta as u64 || pairs_base > payload_end {
+    // Load the checksum table so the metadata read below is verified. The
+    // payload (everything checksummed) ends where the table starts.
+    let table = open_table(store, cksum_base)?;
+    let min_meta = HEADER_BYTES + n * 12 + node_count * (8 + 1 + 32 + 8 + 1) + node_count * 12;
+    if pairs_base < min_meta as u64 || pairs_base > cksum_base {
         return Err(corrupt("pair region offset out of range"));
     }
-    let meta = match &checks {
-        Some(table) => read_span_verified(store, 0, pairs_base as usize, table)?,
-        None => read_span(store, 0, pairs_base as usize)?,
-    };
-    let mut m = &meta[header_bytes..];
+    let meta = read_span_verified(store, 0, pairs_base as usize, &table)?;
+    let mut m = &meta[HEADER_BYTES..];
 
     let mut sorted = Vec::with_capacity(n);
     let mut seen = vec![false; n];
@@ -435,7 +296,7 @@ pub(crate) fn parse<S: PageStore>(store: &S) -> Result<Parsed, PcpError> {
             if c as usize >= node_count {
                 return Err(corrupt("child node id out of range"));
             }
-            children.push(crate::split_tree::NodeRef(c));
+            children.push(NodeRef(c));
         }
         nodes.push(Node {
             block: MortonBlock::new(MortonCode(base), level),
@@ -454,30 +315,26 @@ pub(crate) fn parse<S: PageStore>(store: &S) -> Result<Parsed, PcpError> {
     for i in 0..node_count {
         let start = m.get_u64_le();
         let count = m.get_u32_le();
-        if version >= 4 {
-            // Byte offsets: the groups partition the pair region in order,
-            // but a group's byte length is only known from its successor's
-            // start (checked lazily at decode time by exact consumption).
-            if i == 0 && start != 0 {
-                return Err(corrupt("directory does not start at byte offset 0"));
-            }
-            if start < prev_start {
-                return Err(corrupt("directory byte offsets are not sorted"));
-            }
-            if start > pairs_len {
-                return Err(corrupt("directory byte offset past the pair region"));
-            }
-            prev_start = start;
-        } else if start != total {
-            return Err(corrupt("directory groups are not contiguous"));
+        // Byte offsets: the groups partition the pair region in order, but
+        // a group's byte length is only known from its successor's start
+        // (checked lazily at decode time by exact consumption).
+        if i == 0 && start != 0 {
+            return Err(corrupt("directory does not start at byte offset 0"));
         }
+        if start < prev_start {
+            return Err(corrupt("directory byte offsets are not sorted"));
+        }
+        if start > pairs_len {
+            return Err(corrupt("directory byte offset past the pair region"));
+        }
+        prev_start = start;
         total += count as u64;
         directory.push((start, count));
     }
     if total != pair_count {
         return Err(corrupt("directory pair total does not match header"));
     }
-    if pairs_base + pairs_len > payload_end {
+    if pairs_base.checked_add(pairs_len).is_none_or(|end| end > cksum_base) {
         return Err(corrupt("pair region extends past end of file"));
     }
 
@@ -490,8 +347,6 @@ pub(crate) fn parse<S: PageStore>(store: &S) -> Result<Parsed, PcpError> {
         separation,
         stretch,
         eps_max,
-        pair_bytes,
-        version,
-        checks,
+        table,
     })
 }

@@ -19,7 +19,7 @@
 //! * [`DistanceOracle`] — representative distances **and per-pair error
 //!   caps** plus the pair-location query,
 //! * [`write_oracle`] / [`DiskDistanceOracle`] — the same oracle with full
-//!   disk parity to `silc::disk`: a paged, versioned file format and a
+//!   disk parity to `silc::disk`: a paged file format and a
 //!   served-from-pages form behind a sharded buffer pool.
 //!
 //! ## The ε guarantee: per-pair caps
@@ -42,14 +42,14 @@
 //! split-tree skeleton, and a per-node pair directory form the pinned
 //! metadata, while the `O(s²n)` pair payload fills fixed-size pages served
 //! through the `silc_storage::BufferPool` with decoded groups in a
-//! `ShardedCache`. Since version 4 the payload is **compressed**: within a
-//! group the sorted `b`-side node ids are delta+varint coded and the
+//! `ShardedCache`. The payload is **compressed**: within a group
+//! the sorted `b`-side node ids are delta+varint coded and the
 //! representative vertices are elided (they are always the split tree's
 //! canonical representatives, re-derived at decode time), roughly 17.5
-//! bytes per pair against the fixed 28 of v2/v3 — see [`mod@format`] for the
-//! exact layout and version history. Every earlier version stays readable
-//! (v1's pairs answer the file's global a-priori bound). Distances and
-//! caps are stored as full `f64` bits in every version, so
+//! bytes per pair — see [`mod@format`] for the exact layout. Version 4 is
+//! the only version read: an older file is refused at open with a
+//! `Corrupt` error asking for a rebuild. Distances and caps are stored as
+//! full `f64` bits, so
 //! [`DiskDistanceOracle::distance`] and
 //! [`DiskDistanceOracle::distance_with_epsilon`] are bit-identical to the
 //! memory oracle.
@@ -65,7 +65,7 @@ pub mod wspd;
 pub use build::{PcpBuildConfig, PcpBuildStats};
 pub use disk::DiskDistanceOracle;
 pub use error::PcpError;
-pub use format::{encode_oracle, write_oracle, PAIR_BYTES, PAIR_BYTES_V1};
+pub use format::{encode_oracle, write_oracle};
 pub use oracle::DistanceOracle;
 pub use split_tree::{NodeRef, SplitTree};
 pub use wspd::{wspd, WspdPair};

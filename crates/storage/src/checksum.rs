@@ -186,6 +186,38 @@ impl ChecksumTable {
     }
 }
 
+/// Seals a page-file image: zero-pads the payload in `image` to the next
+/// page boundary and appends its [`ChecksumTable`] there. The table's
+/// offset — which the image's header records, so the payload can be
+/// digested with it — is therefore `payload length` rounded up to a page.
+/// Every paged format in this workspace is written through here, and a
+/// test that tampers with an image re-seals it the same way.
+pub fn seal(image: &mut Vec<u8>) {
+    let table = ChecksumTable::compute(image);
+    image.resize(image.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
+    image.extend_from_slice(&table.to_bytes());
+}
+
+/// Opens the trailer [`seal`] wrote: `offset` is where the image's header
+/// says the table starts, and the table holds one digest per page before
+/// it. The offset must be a nonzero page boundary with the whole table
+/// inside the store; the bounds are checked without overflow, so a hostile
+/// header is an `InvalidData` error, never a panic.
+pub fn open_table<S: PageStore>(store: &S, offset: u64) -> io::Result<ChecksumTable> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    if offset == 0 || offset % PAGE_SIZE as u64 != 0 {
+        return Err(invalid("checksum table is not on a nonzero page boundary"));
+    }
+    let pages = offset / PAGE_SIZE as u64;
+    let store_len = store.page_count().saturating_mul(PAGE_SIZE as u64);
+    let end = pages.checked_mul(8).and_then(|len| offset.checked_add(len));
+    if end.is_none_or(|end| end > store_len) {
+        return Err(invalid("checksum table extends past end of file"));
+    }
+    let raw = crate::read_span(store, offset as usize, pages as usize * 8)?;
+    ChecksumTable::from_bytes(&raw, pages as usize)
+}
+
 /// Like [`read_span`](crate::read_span), but verifies every covered page
 /// against `table` before slicing — the way indexes load their pinned
 /// metadata regions once the checksum table is known.
@@ -286,6 +318,21 @@ mod tests {
     #[test]
     fn truncated_table_rejected() {
         assert!(ChecksumTable::from_bytes(&[0u8; 15], 2).is_err());
+    }
+
+    #[test]
+    fn sealed_images_open_and_hostile_offsets_are_typed_errors() {
+        let mut image = vec![7u8; PAGE_SIZE + 5];
+        seal(&mut image);
+        assert_eq!(image.len(), 2 * PAGE_SIZE + 16, "payload padded, one digest per page");
+        let store = MemPageStore::new(&image);
+        let table = open_table(&store, 2 * PAGE_SIZE as u64).unwrap();
+        assert_eq!(table, ChecksumTable::compute(&image[..2 * PAGE_SIZE]));
+        let page_end = !(PAGE_SIZE as u64 - 1);
+        for offset in [0, 1, PAGE_SIZE as u64 + 1, 3 * PAGE_SIZE as u64, page_end, u64::MAX] {
+            let err = open_table(&store, offset).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "offset {offset:#x}");
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   stats/reset/clear plumbing every disk-resident index shares,
 //! * [`ChecksumTable`] — per-page digests (8-lane FNV-1a) the pool verifies on
 //!   every physical read, so bit rot surfaces as a typed error naming the
-//!   page ([`PageCorrupt`]) instead of a silently wrong answer,
+//!   page ([`PageCorrupt`]) instead of a silently wrong answer; every
+//!   paged format writes and finds its table through [`checksum::seal`]
+//!   and [`checksum::open_table`],
 //! * [`RetryPolicy`] — deterministic bounded-backoff retries of transient
 //!   store faults inside the pool, with exact `retries`/`faults_seen`
 //!   counters in [`IoStats`],

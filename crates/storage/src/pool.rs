@@ -379,14 +379,6 @@ impl<S: PageStore> BufferPool<S> {
         self.checks = Some(checks);
     }
 
-    /// Drops checksum verification for this pool — the per-open opt-out
-    /// for trusted media and overhead measurements (`bench_tradeoff`
-    /// records verified and unverified QPS side by side). Configure before
-    /// sharing the pool across threads.
-    pub fn clear_checksums(&mut self) {
-        self.checks = None;
-    }
-
     /// One store call for a single page, with retries on transient faults
     /// and checksum verification, accounting into `acct`. Runs with no
     /// shard lock held.

@@ -11,7 +11,7 @@
 
 use crate::cache::{CacheStats, ShardedCache};
 use crate::checksum::ChecksumTable;
-use crate::pool::{BufferPool, IoStats, PrefetchPolicy, RetryPolicy};
+use crate::pool::{BufferPool, IoStats, PrefetchPolicy};
 use crate::store::{PageId, PageStore, PAGE_SIZE};
 use std::io;
 use std::sync::Arc;
@@ -70,36 +70,16 @@ impl<S: PageStore, V: Clone> TieredPool<S, V> {
         &self.pool
     }
 
-    /// Sets the pool's [`RetryPolicy`]. Configure before sharing.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.pool.set_retry_policy(retry);
-    }
-
     /// Enables per-page checksum verification in the pool. Configure
     /// before sharing.
-    pub fn set_checksums(&mut self, checks: Arc<ChecksumTable>) {
-        self.pool.set_checksums(checks);
-    }
-
-    /// Drops checksum verification (see [`BufferPool::clear_checksums`]).
-    pub fn clear_checksums(&mut self) {
-        self.pool.clear_checksums();
+    pub fn set_checksums(&mut self, checks: ChecksumTable) {
+        self.pool.set_checksums(Arc::new(checks));
     }
 
     /// Sets the pool's readahead hint (see [`PrefetchPolicy`]). Configure
     /// before sharing.
     pub fn set_prefetch_policy(&mut self, prefetch: PrefetchPolicy) {
         self.pool.set_prefetch_policy(prefetch);
-    }
-
-    /// Reads `len` bytes starting at byte offset `from` *through the pool*
-    /// — cached pages are served from memory, cold runs are coalesced, and
-    /// the pool's [`PrefetchPolicy`] applies. The pooled counterpart of the
-    /// free [`read_span`] used for one-shot metadata loads.
-    pub fn read_span(&self, from: usize, len: usize) -> io::Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(len);
-        self.pool.read_range(from as u64, (from + len) as u64, &mut out)?;
-        Ok(out)
     }
 
     /// The underlying page store.
@@ -135,24 +115,14 @@ impl<S: PageStore, V: Clone> TieredPool<S, V> {
     }
 
     /// Tiered lookup: the decoded cache first; on a miss, `decode` produces
-    /// the value by reading through the pool, and the result is cached.
+    /// the value by reading through the pool, and the result is cached. A
+    /// decode error propagates and nothing is cached, so a later retry
+    /// re-attempts the read instead of serving a poisoned value.
     ///
     /// Like [`ShardedCache`], concurrent misses on the same key may decode
     /// twice (values come from already-buffered pages, so duplicating the
     /// cheap decode beats a condvar handshake); the pool below still
     /// deduplicates the actual store reads.
-    pub fn get_or_decode(&self, key: u64, decode: impl FnOnce(&BufferPool<S>) -> V) -> V {
-        if let Some(v) = self.cache.get(key) {
-            return v;
-        }
-        let v = decode(&self.pool);
-        self.cache.insert(key, v.clone());
-        v
-    }
-
-    /// Fallible [`Self::get_or_decode`]: a decode error propagates and
-    /// nothing is cached, so a later retry re-attempts the read instead of
-    /// serving a poisoned value.
     pub fn try_get_or_decode(
         &self,
         key: u64,
@@ -202,30 +172,35 @@ mod tests {
     fn pooled_read_span_is_cached_and_prefetch_aware() {
         let mut tiered: TieredPool<MemPageStore, u8> = TieredPool::new(store_with(4), 1.0, 4);
         tiered.set_prefetch_policy(PrefetchPolicy { window: 2 });
-        let bytes = tiered.read_span(PAGE_SIZE - 2, 4).unwrap();
+        let read = |from: u64, to: u64| {
+            let mut out = Vec::new();
+            tiered.pool().read_range(from, to, &mut out).unwrap();
+            out
+        };
+        let span = PAGE_SIZE as u64 - 2..PAGE_SIZE as u64 + 2;
+        let bytes = read(span.start, span.end);
         assert_eq!(bytes, &[0, 0, 1, 1]);
         let s = tiered.io_stats();
         assert_eq!((s.misses, s.prefetched), (2, 2), "readahead past the requested span");
         // The same span again is all pool hits — no further store reads.
-        let again = tiered.read_span(PAGE_SIZE - 2, 4).unwrap();
-        assert_eq!(again, bytes);
+        assert_eq!(read(span.start, span.end), bytes);
         let s = tiered.io_stats();
         assert_eq!((s.hits, s.misses, s.prefetched), (2, 2, 2));
-        assert_eq!(tiered.read_span(0, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(read(0, 0), Vec::<u8>::new());
     }
 
     #[test]
     fn get_or_decode_hits_cache_then_pool() {
         let tiered: TieredPool<MemPageStore, Arc<[u8]>> = TieredPool::new(store_with(4), 1.0, 8);
-        let decode = |pool: &BufferPool<MemPageStore>| -> Arc<[u8]> {
-            let page = pool.get(PageId(2)).unwrap();
-            page[..4].to_vec().into()
+        let decode = |pool: &BufferPool<MemPageStore>| -> io::Result<Arc<[u8]>> {
+            let page = pool.get(PageId(2))?;
+            Ok(page[..4].to_vec().into())
         };
-        let a = tiered.get_or_decode(7, decode);
+        let a = tiered.try_get_or_decode(7, decode).unwrap();
         assert_eq!(&a[..], &[2u8; 4]);
         // Second lookup: served from the decoded cache, no pool traffic.
         let io_before = tiered.io_stats();
-        let b = tiered.get_or_decode(7, |_| unreachable!("must be cached"));
+        let b = tiered.try_get_or_decode(7, |_| unreachable!("must be cached")).unwrap();
         assert_eq!(&b[..], &[2u8; 4]);
         assert_eq!(tiered.io_stats(), io_before);
         let cs = tiered.cache_stats();
@@ -249,7 +224,8 @@ mod tests {
     #[test]
     fn reset_and_clear_cover_both_tiers() {
         let tiered: TieredPool<MemPageStore, u8> = TieredPool::new(store_with(2), 1.0, 4);
-        let _ = tiered.get_or_decode(0, |pool| pool.get(PageId(0)).unwrap()[0]);
+        let first_byte = |pool: &BufferPool<MemPageStore>| pool.get(PageId(0)).map(|p| p[0]);
+        tiered.try_get_or_decode(0, first_byte).unwrap();
         assert!(tiered.io_stats().misses > 0);
         assert_eq!(tiered.cache_stats().misses, 1);
         tiered.reset_stats();
@@ -257,7 +233,7 @@ mod tests {
         assert_eq!(tiered.cache_stats(), CacheStats::default());
         // clear drops both the decoded value and the cached page.
         tiered.clear();
-        let _ = tiered.get_or_decode(0, |pool| pool.get(PageId(0)).unwrap()[0]);
+        tiered.try_get_or_decode(0, first_byte).unwrap();
         assert_eq!(tiered.cache_stats().misses, 1, "cleared value must re-decode");
         assert_eq!(tiered.io_stats().misses, 1, "cleared page must re-read");
     }

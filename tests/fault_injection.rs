@@ -14,9 +14,9 @@
 //!
 //! It must never panic and never return a silently wrong value. Retries
 //! are verified against exact `IoStats` counters on a deterministic
-//! script; the seeded matrices sweep mixed fault rates over both the
-//! compressed (current) and legacy fixed-width page formats; a proptest
-//! law (run at depth by `make deep-fuzz`) sweeps random seeds.
+//! script; the seeded matrices sweep mixed fault rates over the page
+//! formats; a proptest law (run at depth by `make deep-fuzz`) sweeps
+//! random seeds.
 
 use proptest::prelude::*;
 use silc::{disk, BuildConfig, DiskSilcIndex, QueryError, SilcIndex};
@@ -29,13 +29,9 @@ use silc_storage::{
 };
 use std::sync::Arc;
 
-/// A deterministic fixture network plus its serialized SILC index bytes in
-/// the current (compressed delta+varint, v3) format *and* the legacy
-/// fixed-width v2 format, built once and shared by every test (and every
-/// proptest case). The chaos matrices sweep both: compression must not
-/// open a silent-corruption window, and the legacy decode path must stay
-/// as hardened as the current one.
-type SilcFixture = (Arc<SpatialNetwork>, Arc<ObjectSet>, Vec<u8>, Vec<u8>);
+/// A deterministic fixture network plus its serialized SILC index bytes,
+/// built once and shared by every test (and every proptest case).
+type SilcFixture = (Arc<SpatialNetwork>, Arc<ObjectSet>, Vec<u8>);
 
 fn fixture() -> SilcFixture {
     static FIXTURE: std::sync::OnceLock<SilcFixture> = std::sync::OnceLock::new();
@@ -49,9 +45,8 @@ fn fixture() -> SilcFixture {
             let idx =
                 SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 9, threads: 1 }).unwrap();
             let bytes = disk::encode_index(&idx);
-            let bytes_v2 = disk::encode_index_with_version(&idx, 2);
             let objects = Arc::new(ObjectSet::random(&g, 0.2, 77));
-            (g, objects, bytes, bytes_v2)
+            (g, objects, bytes)
         })
         .clone()
 }
@@ -87,7 +82,7 @@ impl PageStore for CountingStore {
 
 #[test]
 fn scripted_transient_fault_is_retried_with_exact_counters() {
-    let (g, objects, bytes, _) = fixture();
+    let (g, objects, bytes) = fixture();
 
     // Pass A: learn how many page-read events opening the index consumes,
     // so the script below can fire its fault on the first *query* read.
@@ -123,7 +118,7 @@ fn scripted_transient_fault_is_retried_with_exact_counters() {
 
 #[test]
 fn torn_reads_are_retried_like_transients() {
-    let (g, objects, bytes, _) = fixture();
+    let (g, objects, bytes) = fixture();
     let counter = Arc::new(CountingStore {
         inner: MemPageStore::new(&bytes),
         reads: std::sync::atomic::AtomicU64::new(0),
@@ -151,15 +146,11 @@ fn torn_reads_are_retried_like_transients() {
 
 /// The seeded matrix over `DiskSilcIndex` kNN: every outcome is Ok and
 /// bit-identical, or a typed error; corruption names its page; no panics.
-/// Runs the same matrix against the compressed (v3) and fixed-width (v2)
-/// encodings of one index — the fault-free reference is shared, since the
-/// formats are bit-identical by law.
 #[test]
 fn seeded_matrix_disk_knn_is_never_silently_wrong() {
-    let (g, objects, bytes, bytes_v2) = fixture();
+    let (g, objects, bytes) = fixture();
 
-    // Fault-free reference answers (from the current format; v2 must
-    // produce identical bits, faulted or not).
+    // Fault-free reference answers.
     let clean = Arc::new(
         DiskSilcIndex::from_store(Box::new(MemPageStore::new(&bytes)), g.clone(), 0.3, 16).unwrap(),
     );
@@ -172,51 +163,46 @@ fn seeded_matrix_disk_knn_is_never_silently_wrong() {
         .collect();
 
     let rates = FaultRates { transient: 0.04, permanent: 0.01, bit_flip: 0.015, torn: 0.01 };
-    for (format, image) in [("v3", &bytes), ("v2", &bytes_v2)] {
-        let (mut oks, mut errs) = (0usize, 0usize);
-        for seed in 0..24u64 {
-            let injector = FaultInjectingPageStore::seeded(MemPageStore::new(image), seed, rates);
-            // A fault during open is itself a legal typed-error outcome.
-            let Ok(disk) = DiskSilcIndex::from_store(Box::new(injector), g.clone(), 0.3, 16) else {
-                errs += 1;
-                continue;
-            };
-            let engine = QueryEngine::new(Arc::new(disk), objects.clone());
-            let mut session = engine.session();
-            for (q, want) in queries.iter().zip(&reference) {
-                match session.try_knn(*q, 5, KnnVariant::Basic) {
-                    Ok(r) => {
-                        assert!(
-                            bit_identical(r, want),
-                            "{format} seed {seed} q={q}: Ok answer must be bit-identical to \
-                             fault-free"
-                        );
-                        oks += 1;
-                    }
-                    Err(QueryError::Corrupt { page, detail }) => {
-                        assert!(
-                            page.is_some() || detail.contains("page"),
-                            "{format} seed {seed} q={q}: corruption must name the page: {detail}"
-                        );
-                        errs += 1;
-                    }
-                    Err(QueryError::Io(_)) => errs += 1,
+    let (mut oks, mut errs) = (0usize, 0usize);
+    for seed in 0..24u64 {
+        let injector = FaultInjectingPageStore::seeded(MemPageStore::new(&bytes), seed, rates);
+        // A fault during open is itself a legal typed-error outcome.
+        let Ok(disk) = DiskSilcIndex::from_store(Box::new(injector), g.clone(), 0.3, 16) else {
+            errs += 1;
+            continue;
+        };
+        let engine = QueryEngine::new(Arc::new(disk), objects.clone());
+        let mut session = engine.session();
+        for (q, want) in queries.iter().zip(&reference) {
+            match session.try_knn(*q, 5, KnnVariant::Basic) {
+                Ok(r) => {
+                    assert!(
+                        bit_identical(r, want),
+                        "seed {seed} q={q}: Ok answer must be bit-identical to fault-free"
+                    );
+                    oks += 1;
                 }
+                Err(QueryError::Corrupt { page, detail }) => {
+                    assert!(
+                        page.is_some() || detail.contains("page"),
+                        "seed {seed} q={q}: corruption must name the page: {detail}"
+                    );
+                    errs += 1;
+                }
+                Err(QueryError::Io(_)) => errs += 1,
             }
         }
-        assert!(oks > 0, "{format}: some seeded runs must survive to verify bit-identity");
-        assert!(errs > 0, "{format}: these rates must also exercise the error paths");
     }
+    assert!(oks > 0, "some seeded runs must survive to verify bit-identity");
+    assert!(errs > 0, "these rates must also exercise the error paths");
 }
 
-/// The seeded matrix over `DiskDistanceOracle` probes, against both the
-/// compressed (v4) and fixed-width (v3) encodings of one oracle.
+/// The seeded matrix over `DiskDistanceOracle` probes.
 #[test]
 fn seeded_matrix_oracle_probes_are_never_silently_wrong() {
     let g = Arc::new(road_network(&RoadConfig { vertices: 150, seed: 555, ..Default::default() }));
     let oracle = DistanceOracle::build(&g, 10, 12.0);
     let bytes = silc_pcp::encode_oracle(&oracle);
-    let bytes_v3 = silc_pcp::format::encode_oracle_v3(&oracle);
 
     let clean = DiskDistanceOracle::from_store(MemPageStore::new(&bytes), 0.3, None).unwrap();
     let pairs: Vec<(VertexId, VertexId)> =
@@ -224,42 +210,39 @@ fn seeded_matrix_oracle_probes_are_never_silently_wrong() {
     let reference: Vec<f64> = pairs.iter().map(|&(u, v)| clean.distance(u, v)).collect();
 
     let rates = FaultRates { transient: 0.03, permanent: 0.01, bit_flip: 0.02, torn: 0.01 };
-    for (format, image) in [("v4", &bytes), ("v3", &bytes_v3)] {
-        let (mut oks, mut errs) = (0usize, 0usize);
-        for seed in 100..124u64 {
-            let injector = FaultInjectingPageStore::seeded(MemPageStore::new(image), seed, rates);
-            let Ok(disk) = DiskDistanceOracle::from_store(injector, 0.3, None) else {
-                errs += 1;
-                continue;
-            };
-            for (&(u, v), &want) in pairs.iter().zip(&reference) {
-                match disk.try_distance(u, v) {
-                    Ok(d) => {
-                        assert_eq!(
-                            d.to_bits(),
-                            want.to_bits(),
-                            "{format} seed {seed} {u}->{v}: Ok probe must be bit-identical"
-                        );
-                        oks += 1;
-                    }
-                    Err(PcpError::Corrupt(msg)) => {
-                        assert!(
-                            msg.contains("page")
-                                || msg.contains("sorted")
-                                || msg.contains("cap")
-                                || msg.contains("pair group"),
-                            "{format} seed {seed} {u}->{v}: corruption must name its evidence: \
-                             {msg}"
-                        );
-                        errs += 1;
-                    }
-                    Err(PcpError::Io(_)) => errs += 1,
+    let (mut oks, mut errs) = (0usize, 0usize);
+    for seed in 100..124u64 {
+        let injector = FaultInjectingPageStore::seeded(MemPageStore::new(&bytes), seed, rates);
+        let Ok(disk) = DiskDistanceOracle::from_store(injector, 0.3, None) else {
+            errs += 1;
+            continue;
+        };
+        for (&(u, v), &want) in pairs.iter().zip(&reference) {
+            match disk.try_distance(u, v) {
+                Ok(d) => {
+                    assert_eq!(
+                        d.to_bits(),
+                        want.to_bits(),
+                        "seed {seed} {u}->{v}: Ok probe must be bit-identical"
+                    );
+                    oks += 1;
                 }
+                Err(PcpError::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains("page")
+                            || msg.contains("sorted")
+                            || msg.contains("cap")
+                            || msg.contains("pair group"),
+                        "seed {seed} {u}->{v}: corruption must name its evidence: {msg}"
+                    );
+                    errs += 1;
+                }
+                Err(PcpError::Io(_)) => errs += 1,
             }
         }
-        assert!(oks > 0, "{format}: some seeded runs must survive");
-        assert!(errs > 0, "{format}: the error paths must be exercised");
     }
+    assert!(oks > 0, "some seeded runs must survive");
+    assert!(errs > 0, "the error paths must be exercised");
 }
 
 /// A dead shard degrades the routed answer instead of breaking it: the
@@ -432,7 +415,7 @@ proptest! {
         bit_flip in 0.0f64..0.04,
         torn in 0.0f64..0.03,
     ) {
-        let (g, objects, bytes, _) = fixture();
+        let (g, objects, bytes) = fixture();
         let clean = Arc::new(
             DiskSilcIndex::from_store(Box::new(MemPageStore::new(&bytes)), g.clone(), 0.3, 16)
                 .unwrap(),
