@@ -7,7 +7,7 @@
         bench-throughput-smoke bench-tradeoff bench-tradeoff-smoke bench-scale \
         bench-scale-smoke bench-latency bench-latency-smoke bench-check \
         benchmark-smoke benchmark-test chaos \
-        docs deep-fuzz figures lint fmt protocol-check serve-smoke verify help
+        docs deep-fuzz figures lint fmt protocol-check hot-loop-check serve-smoke verify help
 
 help:
 	@echo "SILC workspace targets:"
@@ -30,6 +30,7 @@ help:
 	@echo "  benchmark-test         the repository benchmark's own unit tests (statistics, checks, trace)"
 	@echo "  serve-smoke            scripted client session against a loopback silc-server"
 	@echo "  protocol-check         docs/PROTOCOL.md <-> protocol.rs test lockstep gate"
+	@echo "  hot-loop-check         no clock or hash in the kNN loop and the refinement step"
 	@echo "  chaos                  fault-injection matrix: seeded disk faults, retries, dead shards"
 	@echo "  docs                   rustdoc with warnings denied (the CI docs gate)"
 	@echo "  deep-fuzz              the scheduled CI fuzz pass: the proptest suites at ~10x cases"
@@ -123,6 +124,12 @@ serve-smoke:
 # docs/PROTOCOL.md must have a `frame_<name>_…` test in protocol.rs.
 protocol-check:
 	scripts/check_protocol_tests.sh
+
+# The kNN loop and the refinement step stay free of clocks and hashes: no
+# `Instant`, `SystemTime` or `HashMap` above `#[cfg(test)]` in knn.rs or
+# refine.rs.
+hot-loop-check:
+	scripts/check_hot_loop.sh
 
 # Validate the committed bench records (and any smoke outputs already in
 # target/) against the recorders' current output schemas — the CI

@@ -16,7 +16,8 @@ const ALGOS: [&str; 6] = ["INE", "IER", "INN", "KNN", "KNN-I", "KNN-M"];
 struct Point {
     total_ms: BTreeMap<&'static str, Vec<f64>>,
     io_ms: BTreeMap<&'static str, Vec<f64>>,
-    pq_ms: BTreeMap<&'static str, Vec<f64>>,
+    /// Upserts and removals on kNN's candidate list `L`.
+    l_ops: BTreeMap<&'static str, Vec<f64>>,
 }
 
 /// Runs the disk-resident sweep; `xs` are either densities (axis "S") or
@@ -84,7 +85,7 @@ pub fn io_sweep(
                         * 1e3;
                     point.total_ms.entry(name).or_default().push(total);
                     point.io_ms.entry(name).or_default().push(io);
-                    point.pq_ms.entry(name).or_default().push(stats.pq_nanos as f64 / 1e6);
+                    point.l_ops.entry(name).or_default().push(stats.candidate_ops as f64);
                 }
             }
         }
@@ -100,7 +101,7 @@ pub fn io_sweep(
         .iter()
         .flat_map(|a| [format!("{a:>10}"), format!("{:>10}", format!("{a}-io"))])
         .collect();
-    r.line(format!("{:>10}{}{:>10}", axis, header, "KNN-pq"));
+    r.line(format!("{:>10}{}{:>10}", axis, header, "KNN-L ops"));
     for (x, p) in &points {
         let mut cells = String::new();
         for a in ALGOS {
@@ -111,8 +112,8 @@ pub fn io_sweep(
             ));
         }
         cells.push_str(&format!(
-            "{:>10.4}",
-            mean(p.pq_ms.get("KNN").map(Vec::as_slice).unwrap_or(&[]))
+            "{:>10.1}",
+            mean(p.l_ops.get("KNN").map(Vec::as_slice).unwrap_or(&[]))
         ));
         r.line(format!("{x:>10}{cells}"));
     }
@@ -120,7 +121,7 @@ pub fn io_sweep(
     r.line(
         "fall behind SILC; I/O dominates; kNN best at small k; for k > 20 kNN-I/INN".to_string(),
     );
-    r.line("win as L & Dk maintenance (KNN-pq) grows".to_string());
+    r.line("win as L & Dk maintenance (KNN-L ops, upserts + removals on L) grows".to_string());
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&net_path).ok();
     r

@@ -28,7 +28,6 @@ pub struct AlgoAggregate {
     pub d0k_pct: Vec<f64>,
     /// `KMINDIST / Dk` in percent (kNN-M).
     pub kmindist_pct: Vec<f64>,
-    pub pq_ms: Vec<f64>,
 }
 
 /// One point of a sweep (one density or one k).
@@ -127,7 +126,6 @@ fn run_point(
                 a.time_ms.push(elapsed);
                 a.refinements.push(r.stats.refinements as f64);
                 a.max_queue.push(r.stats.max_queue as f64);
-                a.pq_ms.push(r.stats.pq_nanos as f64 / 1e6);
                 // Estimate quality is measured against the *true* kth
                 // distance, recomputed outside the timed section.
                 let true_dk = r

@@ -7,6 +7,17 @@
 //! `d(q, o) = d(q, t) + [λ−·dE(t,o), λ+·dE(t,o)]` for the current
 //! intermediate vertex `t` — which the paper contrasts (p.30) with distance
 //! oracles whose estimates are sums of *two* intervals.
+//!
+//! A refinement step costs **one** block lookup. The paper's §5 point is
+//! that the block of `t`'s shortest-path quadtree containing the target
+//! yields two things at once: its colour is the next hop, and its
+//! `[λ−, λ+]` is the interval for the rest of the path. The refiner keeps
+//! that colour beside the interval it produced, so the next step walks the
+//! edge without probing the same block again: a walk of `h` hops to the
+//! target costs `h` lookups (one at first contact, one tail lookup per hop
+//! but the last), against `2h` when the hop is looked up separately. A
+//! walk whose interval turns exact before the target (a tail block with
+//! `λ− = λ+`) stops there, having paid one tail lookup per hop.
 
 use crate::browser::DistanceBrowser;
 use crate::error::QueryError;
@@ -16,6 +27,10 @@ use std::cmp::Ordering;
 
 /// A progressively refinable network distance between two vertex-resident
 /// objects.
+///
+/// Besides the interval it carries the colour of the block entry that
+/// produced it — the first-hop slot of the shortest path `cur → target` —
+/// so [`Self::try_refine`] costs one block lookup, not two.
 #[derive(Debug, Clone)]
 pub struct RefinableDistance {
     origin: VertexId,
@@ -26,6 +41,30 @@ pub struct RefinableDistance {
     prefix: f64,
     interval: DistInterval,
     refinements: usize,
+    /// Colour (out-edge slot of `cur`) of the block of `cur`'s quadtree
+    /// that holds `target`, from the lookup that produced `interval`.
+    /// `None` when `cur == target` or no block covers the target; the next
+    /// step then asks [`DistanceBrowser::try_next_hop`], which reports an
+    /// uncovered destination as corruption.
+    color: Option<u16>,
+}
+
+/// One block lookup in `u`'s quadtree for `target`: the interval exactly
+/// as [`DistanceBrowser::try_interval`] computes it, plus the block's
+/// colour.
+fn lookup<B: DistanceBrowser + ?Sized>(
+    b: &B,
+    u: VertexId,
+    target: VertexId,
+) -> Result<(DistInterval, Option<u16>), QueryError> {
+    if u == target {
+        return Ok((DistInterval::exact(0.0), None));
+    }
+    let euclid = b.network().euclidean(u, target);
+    Ok(match b.try_entry(u, b.vertex_code(target))? {
+        Some(e) => (e.interval(euclid), Some(e.color)),
+        None => (DistInterval::new(b.global_min_ratio() * euclid, f64::INFINITY), None),
+    })
 }
 
 impl RefinableDistance {
@@ -45,8 +84,16 @@ impl RefinableDistance {
         origin: VertexId,
         target: VertexId,
     ) -> Result<Self, QueryError> {
-        let interval = b.try_interval(origin, target)?;
-        Ok(RefinableDistance { origin, target, cur: origin, prefix: 0.0, interval, refinements: 0 })
+        let (interval, color) = lookup(b, origin, target)?;
+        Ok(RefinableDistance {
+            origin,
+            target,
+            cur: origin,
+            prefix: 0.0,
+            interval,
+            refinements: 0,
+            color,
+        })
     }
 
     /// The origin object's vertex.
@@ -79,6 +126,9 @@ impl RefinableDistance {
     /// Advances one hop along the shortest path, tightening the interval.
     /// Returns `false` (and does nothing) once the distance is exact.
     ///
+    /// The hop follows the carried colour; the only lookup is the tail
+    /// interval from the new vertex, skipped when it is the target.
+    ///
     /// # Panics
     /// Panics where [`Self::try_refine`] would error.
     pub fn refine<B: DistanceBrowser + ?Sized>(&mut self, b: &B) -> bool {
@@ -92,21 +142,31 @@ impl RefinableDistance {
         if self.is_exact() {
             return Ok(false);
         }
-        let Some((next, w)) = b.try_next_hop(self.cur, self.target)? else {
+        let hop = match self.color {
+            Some(color) => {
+                debug_assert_ne!(color, crate::sp_quadtree::COLOR_SOURCE);
+                Some(b.network().out_edge(self.cur, color as usize))
+            }
+            None => b.try_next_hop(self.cur, self.target)?,
+        };
+        let Some((next, w)) = hop else {
             // cur == target: the interval should already be exact.
             self.interval = DistInterval::exact(self.prefix);
             return Ok(false);
         };
         // Complete every fallible lookup *before* mutating state, so an
         // error leaves a consistent (merely unrefined) distance.
-        let tail =
-            if next == self.target { None } else { Some(b.try_interval(next, self.target)?) };
+        let tail = if next == self.target { None } else { Some(lookup(b, next, self.target)?) };
         self.refinements += 1;
         self.cur = next;
         self.prefix += w;
         match tail {
-            None => self.interval = DistInterval::exact(self.prefix),
-            Some(t) => {
+            None => {
+                self.interval = DistInterval::exact(self.prefix);
+                self.color = None;
+            }
+            Some((t, color)) => {
+                self.color = color;
                 let tail = t.offset(self.prefix);
                 // Bounds can only tighten: intersect with what we already
                 // knew. Both intervals contain the true distance in exact
@@ -182,13 +242,220 @@ pub fn compare_refining<B: DistanceBrowser + ?Sized>(
 mod tests {
     use super::*;
     use crate::index::{BuildConfig, SilcIndex};
+    use crate::sp_quadtree::{BlockEntry, CellRect};
+    use silc_geom::GridMapper;
+    use silc_morton::MortonCode;
     use silc_network::dijkstra;
-    use silc_network::generate::{grid_network, GridConfig};
+    use silc_network::generate::{grid_network, road_network, GridConfig, RoadConfig};
+    use silc_network::SpatialNetwork;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     fn index() -> SilcIndex {
         let g = grid_network(&GridConfig { rows: 9, cols: 9, seed: 23, ..Default::default() });
         SilcIndex::build(Arc::new(g), &BuildConfig { grid_exponent: 8, threads: 2 }).unwrap()
+    }
+
+    /// The reference refiner: a separate next-hop lookup before every tail
+    /// lookup, two lookups a hop. The one-lookup law is checked against it.
+    struct ParentRefinable {
+        target: VertexId,
+        cur: VertexId,
+        prefix: f64,
+        interval: DistInterval,
+        refinements: usize,
+    }
+
+    impl ParentRefinable {
+        fn try_new<B: DistanceBrowser + ?Sized>(
+            b: &B,
+            origin: VertexId,
+            target: VertexId,
+        ) -> Result<Self, QueryError> {
+            let interval = b.try_interval(origin, target)?;
+            Ok(ParentRefinable { target, cur: origin, prefix: 0.0, interval, refinements: 0 })
+        }
+
+        fn is_exact(&self) -> bool {
+            self.interval.is_exact()
+        }
+
+        fn parent_refine<B: DistanceBrowser + ?Sized>(
+            &mut self,
+            b: &B,
+        ) -> Result<bool, QueryError> {
+            if self.is_exact() {
+                return Ok(false);
+            }
+            let Some((next, w)) = b.try_next_hop(self.cur, self.target)? else {
+                // cur == target: the interval should already be exact.
+                self.interval = DistInterval::exact(self.prefix);
+                return Ok(false);
+            };
+            // Complete every fallible lookup *before* mutating state, so an
+            // error leaves a consistent (merely unrefined) distance.
+            let tail =
+                if next == self.target { None } else { Some(b.try_interval(next, self.target)?) };
+            self.refinements += 1;
+            self.cur = next;
+            self.prefix += w;
+            match tail {
+                None => self.interval = DistInterval::exact(self.prefix),
+                Some(t) => {
+                    let tail = t.offset(self.prefix);
+                    // Bounds can only tighten: intersect with what we already
+                    // knew. Both intervals contain the true distance in exact
+                    // arithmetic, but floating-point slop can make them barely
+                    // disjoint; the distance then lies in the (noise-sized) gap
+                    // between their facing endpoints, so that gap is the
+                    // tightest sound interval.
+                    self.interval = tail.intersect(&self.interval).unwrap_or_else(|| {
+                        let gap_lo = tail.hi.min(self.interval.hi);
+                        let gap_hi = tail.lo.max(self.interval.lo);
+                        DistInterval::new(gap_lo, gap_hi)
+                    });
+                }
+            }
+            Ok(true)
+        }
+    }
+
+    /// An index that counts its block lookups.
+    struct CountingBrowser<'a> {
+        inner: &'a SilcIndex,
+        lookups: Cell<usize>,
+    }
+
+    impl CountingBrowser<'_> {
+        /// Runs `f`, returning its value and the lookups it made.
+        fn counted<T>(&self, f: impl FnOnce() -> T) -> (T, usize) {
+            self.lookups.set(0);
+            let value = f();
+            (value, self.lookups.get())
+        }
+    }
+
+    impl DistanceBrowser for CountingBrowser<'_> {
+        fn network(&self) -> &SpatialNetwork {
+            self.inner.network()
+        }
+        fn mapper(&self) -> &GridMapper {
+            self.inner.mapper()
+        }
+        fn vertex_code(&self, v: VertexId) -> MortonCode {
+            self.inner.vertex_code(v)
+        }
+        fn entry(&self, u: VertexId, code: MortonCode) -> Option<BlockEntry> {
+            self.inner.entry(u, code)
+        }
+        fn min_lambda(&self, u: VertexId, rect: &CellRect) -> Option<f64> {
+            self.inner.min_lambda(u, rect)
+        }
+        fn global_min_ratio(&self) -> f64 {
+            self.inner.global_min_ratio()
+        }
+        fn try_entry(
+            &self,
+            u: VertexId,
+            code: MortonCode,
+        ) -> Result<Option<BlockEntry>, QueryError> {
+            self.lookups.set(self.lookups.get() + 1);
+            self.inner.try_entry(u, code)
+        }
+    }
+
+    fn bits(i: DistInterval) -> (u64, u64) {
+        (i.lo.to_bits(), i.hi.to_bits())
+    }
+
+    /// Walks every source/destination pair with both refiners in lockstep:
+    /// every step must agree bit for bit, and a walk of `h` hops that
+    /// reaches the target costs `h` lookups here against the reference's
+    /// `2h`. A walk that stops early — a tail block with `λ− = λ+` made
+    /// the interval exact before the target — pays one more tail lookup
+    /// on both sides. Returns how many walks reached their target and how
+    /// many stopped early.
+    fn assert_one_lookup_per_hop(idx: &SilcIndex) -> (usize, usize) {
+        let b = CountingBrowser { inner: idx, lookups: Cell::new(0) };
+        let (mut reached, mut early) = (0, 0);
+        for s in idx.network().vertices() {
+            for d in idx.network().vertices() {
+                let (ours, mut ours_lookups) = b.counted(|| RefinableDistance::try_new(&b, s, d));
+                let (parent, mut parent_lookups) = b.counted(|| ParentRefinable::try_new(&b, s, d));
+                let (mut ours, mut parent) = (ours.unwrap(), parent.unwrap());
+                loop {
+                    assert_eq!(bits(ours.interval()), bits(parent.interval), "{s}->{d}");
+                    assert_eq!(ours.refinements(), parent.refinements, "{s}->{d}");
+                    let (stepped, n) = b.counted(|| ours.try_refine(&b).unwrap());
+                    let (parent_stepped, m) = b.counted(|| parent.parent_refine(&b).unwrap());
+                    assert_eq!(stepped, parent_stepped, "{s}->{d}");
+                    ours_lookups += n;
+                    parent_lookups += m;
+                    if !stepped {
+                        break;
+                    }
+                }
+                assert_eq!(bits(ours.interval()), bits(parent.interval), "{s}->{d}");
+                let h = ours.refinements();
+                let short = usize::from(ours.cur != d);
+                assert_eq!(ours_lookups, h + short, "{s}->{d}: {h} hops");
+                assert_eq!(parent_lookups, 2 * h + short, "{s}->{d}: {h} hops");
+                if short == 1 {
+                    early += 1;
+                } else if h > 0 {
+                    reached += 1;
+                }
+            }
+        }
+        (reached, early)
+    }
+
+    #[test]
+    fn a_refinement_costs_one_lookup_and_matches_the_parent_refiner() {
+        let g = road_network(&RoadConfig { vertices: 200, seed: 404, ..Default::default() });
+        let road =
+            SilcIndex::build(Arc::new(g), &BuildConfig { grid_exponent: 9, threads: 2 }).unwrap();
+        for idx in [index(), road] {
+            let (reached, early) = assert_one_lookup_per_hop(&idx);
+            // Both walk shapes must be exercised for the law to mean much.
+            assert!(reached > 100 && early > 100, "reached {reached}, stopped early {early}");
+        }
+    }
+
+    #[test]
+    fn an_uncovered_destination_is_still_corruption() {
+        // A browser whose quadtrees cover nothing: the first contact falls
+        // back to the global ratio, and the first hop — with no colour
+        // held — reports the destination as uncovered.
+        struct Empty<'a>(&'a SilcIndex);
+        impl DistanceBrowser for Empty<'_> {
+            fn network(&self) -> &SpatialNetwork {
+                self.0.network()
+            }
+            fn mapper(&self) -> &GridMapper {
+                self.0.mapper()
+            }
+            fn vertex_code(&self, v: VertexId) -> MortonCode {
+                self.0.vertex_code(v)
+            }
+            fn entry(&self, _: VertexId, _: MortonCode) -> Option<BlockEntry> {
+                None
+            }
+            fn min_lambda(&self, u: VertexId, rect: &CellRect) -> Option<f64> {
+                self.0.min_lambda(u, rect)
+            }
+            fn global_min_ratio(&self) -> f64 {
+                self.0.global_min_ratio()
+            }
+        }
+        let idx = index();
+        let b = Empty(&idx);
+        let mut r = RefinableDistance::try_new(&b, VertexId(0), VertexId(80)).unwrap();
+        let before = r.interval();
+        assert_eq!(before.hi, f64::INFINITY);
+        assert!(matches!(r.try_refine(&b), Err(QueryError::Corrupt { .. })));
+        assert_eq!(bits(r.interval()), bits(before), "an error must leave the state unchanged");
+        assert_eq!(r.refinements(), 0);
     }
 
     #[test]

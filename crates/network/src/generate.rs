@@ -131,8 +131,9 @@ impl Default for RoadConfig {
 /// using a uniform cell grid (an edge `(u,v)` is kept when no third point
 /// lies inside the circle with diameter `uv`, tested among each point's
 /// nearby candidates); take its Euclidean minimum spanning tree to guarantee
-/// connectivity; then add the shortest remaining proximity edges until the
-/// undirected edge count reaches `edge_factor × n`.
+/// connectivity (joining any component the proximity graph left isolated to
+/// its nearest outside point); then add the shortest remaining proximity
+/// edges until the undirected edge count reaches `edge_factor × n`.
 pub fn road_network(cfg: &RoadConfig) -> SpatialNetwork {
     assert!(cfg.vertices >= 2, "need at least two vertices");
     assert!(cfg.edge_factor >= 1.0, "edge_factor below 1.0 cannot stay connected");
@@ -162,6 +163,7 @@ pub fn road_network(cfg: &RoadConfig) -> SpatialNetwork {
             extras.push((u, v));
         }
     }
+    join_components(&points, &mut sets, &mut chosen);
     let target = ((cfg.edge_factor * n as f64).ceil() as usize).max(chosen.len());
     for &(u, v) in extras.iter() {
         if chosen.len() >= target {
@@ -181,6 +183,39 @@ pub fn road_network(cfg: &RoadConfig) -> SpatialNetwork {
     let g = b.build();
     debug_assert!(crate::analysis::is_strongly_connected(&g));
     g
+}
+
+/// Joins the components a spanning forest left apart: while more than one
+/// remains, links the smallest (lowest root id on ties) to its nearest
+/// point in another component, ties broken by vertex ids. The proximity
+/// graph's bounded neighbour search can miss every edge out of an isolated
+/// cluster; a connected draw is left untouched, so its edges and RNG draws
+/// stay exactly what they were.
+fn join_components(points: &[Point], sets: &mut DisjointSets, chosen: &mut Vec<(u32, u32)>) {
+    let n = points.len() as u32;
+    while sets.component_count() > 1 {
+        let roots: Vec<u32> = (0..n).map(|v| sets.find(v)).collect();
+        let mut size = vec![0usize; n as usize];
+        for &r in &roots {
+            size[r as usize] += 1;
+        }
+        let stray = (0..n)
+            .filter(|&v| roots[v as usize] == v)
+            .min_by_key(|&r| (size[r as usize], r))
+            .expect("at least two components");
+        let mut best = (f64::INFINITY, 0, 0);
+        for a in (0..n).filter(|&a| roots[a as usize] == stray) {
+            for b in (0..n).filter(|&b| roots[b as usize] != stray) {
+                let d = points[a as usize].distance_sq(&points[b as usize]);
+                if d < best.0 {
+                    best = (d, a, b);
+                }
+            }
+        }
+        let (_, a, b) = best;
+        sets.union(a, b);
+        chosen.push((a.min(b), a.max(b)));
+    }
 }
 
 /// Gabriel-style proximity edges among `points`, computed with a uniform
@@ -325,6 +360,17 @@ mod tests {
         // only for extreme configs) and well below Delaunay density.
         assert!(s.edge_vertex_ratio >= 0.99, "ratio {} too small", s.edge_vertex_ratio);
         assert!(s.edge_vertex_ratio <= 1.4, "ratio {} too large", s.edge_vertex_ratio);
+    }
+
+    #[test]
+    fn road_network_joins_isolated_clusters() {
+        // Draws whose proximity graph leaves a cluster with no edge out:
+        // the spanning forest has more than one tree until it is repaired.
+        for seed in [1168, 1529, 1585, 2089, 131378] {
+            let g = road_network(&RoadConfig { vertices: 77, seed, ..Default::default() });
+            assert_eq!(g.vertex_count(), 77);
+            assert!(is_strongly_connected(&g), "seed {seed} is not strongly connected");
+        }
     }
 
     #[test]

@@ -17,10 +17,15 @@
 //!   skipping the refinements a total ordering would need; output is
 //!   unsorted.
 //!
-//! Every algorithm runs over a [`KnnScratch`] — the heap, object-state map,
-//! candidate list and result buffers a [`crate::QuerySession`] reuses across
-//! queries so that the steady-state hot path allocates nothing. The free
-//! functions here are one-shot wrappers that build a fresh scratch per call.
+//! Every algorithm runs over a [`KnnScratch`] — the heap, object-state
+//! table, candidate list and result buffers a [`crate::QuerySession`] reuses
+//! across queries so that the steady-state hot path allocates nothing. The
+//! free functions here are one-shot wrappers that build a fresh scratch per
+//! call.
+//!
+//! The loop reads no clock and hashes nothing: object states sit in a
+//! table indexed by [`ObjectId`], and the cost of maintaining `L` is the
+//! exact count [`QueryStats::candidate_ops`].
 
 use crate::candidates::CandidateList;
 use crate::objects::{ObjectId, ObjectSet};
@@ -30,9 +35,7 @@ use silc::{DistanceBrowser, QueryError};
 use silc_network::VertexId;
 use silc_quadtree::{NodeId, NodeView};
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry as MapEntry;
-use std::collections::{BinaryHeap, HashMap};
-use std::time::Instant;
+use std::collections::BinaryHeap;
 
 /// Which refinement-avoidance machinery the [`knn`] engine runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,14 +82,60 @@ struct ObjState {
     confirmed: bool,
 }
 
+/// The per-object refinement states of one query: a slot per
+/// [`ObjectId`] plus the list of slots the query touched, so clearing and
+/// scanning cost the touched objects, not the whole set.
+#[derive(Default)]
+struct StateTable {
+    slots: Vec<Option<ObjState>>,
+    touched: Vec<ObjectId>,
+}
+
+impl StateTable {
+    /// Empties the touched slots and sizes the table for `objects` slots.
+    /// Grows only when a larger object set than any before comes along.
+    fn begin(&mut self, objects: usize) {
+        for o in self.touched.drain(..) {
+            self.slots[o.index()] = None;
+        }
+        if self.slots.len() < objects {
+            self.slots.resize_with(objects, || None);
+        }
+        self.touched.reserve(objects);
+    }
+
+    /// The state of an object the query has touched.
+    #[inline]
+    fn state(&self, o: ObjectId) -> &ObjState {
+        self.slots[o.index()].as_ref().expect("object state was never created")
+    }
+
+    #[inline]
+    fn state_mut(&mut self, o: ObjectId) -> &mut ObjState {
+        self.slots[o.index()].as_mut().expect("object state was never created")
+    }
+
+    #[inline]
+    fn is_confirmed(&self, o: ObjectId) -> bool {
+        self.slots[o.index()].as_ref().is_some_and(|s| s.confirmed)
+    }
+
+    /// Lower bounds `δ−` of every object the query has touched.
+    fn lows(&self) -> impl Iterator<Item = f64> + '_ {
+        self.touched.iter().map(|&o| self.state(o).refiner.interval().lo)
+    }
+}
+
 /// The reusable workspaces of the SILC query algorithms: the priority queue
 /// `Q`, the per-object refinement states, the candidate list `L`, and the
 /// result buffers. Create once (per session / thread), run any number of
 /// [`knn`]/[`inn`] queries through it — after the structures have grown to a
-/// workload's steady-state size, further queries allocate nothing.
+/// workload's steady-state size, further queries allocate nothing. The
+/// state table is sized by the largest object set seen, so a scratch shared
+/// across object sets (the router's shards) grows once per new maximum.
 pub struct KnnScratch {
     heap: BinaryHeap<QEntry>,
-    states: HashMap<ObjectId, ObjState>,
+    states: StateTable,
     candidates: CandidateList,
     /// `δ−` sample buffer for the `KMINDIST` computation of kNN-M.
     lows: Vec<f64>,
@@ -106,7 +155,7 @@ impl KnnScratch {
     pub fn new() -> Self {
         KnnScratch {
             heap: BinaryHeap::new(),
-            states: HashMap::new(),
+            states: StateTable::default(),
             candidates: CandidateList::new(1),
             lows: Vec::new(),
             leftovers: Vec::new(),
@@ -125,11 +174,12 @@ impl KnnScratch {
     }
 
     /// Clears per-query state (allocations are retained).
-    fn begin(&mut self, k: usize) {
+    fn begin(&mut self, k: usize, objects: &ObjectSet) {
         self.heap.clear();
-        self.states.clear();
+        self.states.begin(objects.len());
         self.candidates.reset(k);
         self.lows.clear();
+        self.lows.reserve(objects.len());
         self.leftovers.clear();
         self.result.neighbors.clear();
         self.result.stats = QueryStats::default();
@@ -143,7 +193,7 @@ struct Engine<'a, B: DistanceBrowser + ?Sized> {
     objects: &'a ObjectSet,
     query: VertexId,
     heap: &'a mut BinaryHeap<QEntry>,
-    states: &'a mut HashMap<ObjectId, ObjState>,
+    states: &'a mut StateTable,
     seq: u64,
     stats: QueryStats,
 }
@@ -154,7 +204,7 @@ impl<'a, B: DistanceBrowser + ?Sized> Engine<'a, B> {
         objects: &'a ObjectSet,
         query: VertexId,
         heap: &'a mut BinaryHeap<QEntry>,
-        states: &'a mut HashMap<ObjectId, ObjState>,
+        states: &'a mut StateTable,
     ) -> Result<Self, QueryError> {
         let mut e =
             Engine { browser, objects, query, heap, states, seq: 0, stats: QueryStats::default() };
@@ -181,22 +231,21 @@ impl<'a, B: DistanceBrowser + ?Sized> Engine<'a, B> {
     /// Ensures the object has a refiner, creating the zero-hop interval on
     /// first contact. Returns (interval, version).
     fn touch(&mut self, o: ObjectId) -> Result<(silc::DistInterval, u32), QueryError> {
-        let vertex = self.objects.vertex(o);
-        let state = match self.states.entry(o) {
-            MapEntry::Occupied(e) => e.into_mut(),
-            MapEntry::Vacant(e) => e.insert(ObjState {
-                refiner: RefinableDistance::try_new(self.browser, self.query, vertex)?,
-                version: 0,
-                confirmed: false,
-            }),
-        };
-        Ok((state.refiner.interval(), state.version))
+        let slot = &mut self.states.slots[o.index()];
+        if let Some(state) = slot {
+            return Ok((state.refiner.interval(), state.version));
+        }
+        let refiner = RefinableDistance::try_new(self.browser, self.query, self.objects.vertex(o))?;
+        let interval = refiner.interval();
+        *slot = Some(ObjState { refiner, version: 0, confirmed: false });
+        self.states.touched.push(o);
+        Ok((interval, 0))
     }
 
     /// One refinement step; no-ops (already exact) are not counted as
     /// refinement operations since they touch no quadtree.
     fn refine(&mut self, o: ObjectId) -> Result<(silc::DistInterval, u32), QueryError> {
-        let state = self.states.get_mut(&o).expect("refining an untouched object");
+        let state = self.states.state_mut(o);
         if state.refiner.try_refine(self.browser)? {
             self.stats.refinements += 1;
         }
@@ -211,7 +260,7 @@ impl<'a, B: DistanceBrowser + ?Sized> Engine<'a, B> {
     /// many objects at its bound). `lows` is the reusable sample buffer.
     fn kmindist(&self, k: usize, lows: &mut Vec<f64>) -> Option<f64> {
         lows.clear();
-        lows.extend(self.states.values().map(|s| s.refiner.interval().lo));
+        lows.extend(self.states.lows());
         if lows.len() < k {
             return None;
         }
@@ -258,14 +307,13 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
     scratch: &mut KnnScratch,
 ) -> Result<(), QueryError> {
     assert!(k > 0, "k must be positive");
-    scratch.begin(k);
+    scratch.begin(k, objects);
     let KnnScratch { heap, states, candidates, lows, leftovers, result } = scratch;
     let mut eng = Engine::new(browser, objects, query, heap, states)?;
     let reported = &mut result.neighbors;
     let mut d0k: Option<f64> = None;
     let use_d0k = matches!(variant, KnnVariant::EarlyEstimate | KnnVariant::MinDist);
     let use_kmindist = matches!(variant, KnnVariant::MinDist);
-    let mut pq_nanos = 0u64;
 
     // Only a δ− strictly beyond this bound is prunable (paper p.22: prune
     // when MinD > Dk) — at equality the object may still be the tied kth
@@ -277,16 +325,13 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
     while let Some(QEntry { key, kind, .. }) = eng.heap.pop() {
         // Stale object entries (superseded by a refinement) are skipped.
         if let Kind::Object(o, version) = kind {
-            let state = &eng.states[&o];
+            let state = eng.states.state(o);
             if state.confirmed || state.version != version {
                 continue;
             }
         }
         // Halt: nothing left can improve on the k candidates.
-        let t = Instant::now();
-        let dk = candidates.dk();
-        pq_nanos += t.elapsed().as_nanos() as u64;
-        if key > dk {
+        if key > candidates.dk() {
             break;
         }
         if reported.len() == k {
@@ -297,20 +342,18 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
                 NodeView::Leaf(items) => {
                     for &item in items {
                         let o = ObjectId(*eng.objects.quadtree().payload(item));
-                        if eng.states.get(&o).is_some_and(|s| s.confirmed) {
+                        if eng.states.is_confirmed(o) {
                             continue;
                         }
                         let (iv, version) = eng.touch(o)?;
-                        let t = Instant::now();
                         if iv.hi < candidates.dk() {
                             candidates.upsert(o, iv);
+                            eng.stats.candidate_ops += 1;
                             if use_d0k && d0k.is_none() && candidates.is_full() {
                                 d0k = Some(candidates.dk());
                             }
                         }
-                        let bound = enqueue_bound(candidates, &d0k);
-                        pq_nanos += t.elapsed().as_nanos() as u64;
-                        if iv.lo <= bound {
+                        if iv.lo <= enqueue_bound(candidates, &d0k) {
                             eng.push(iv.lo, Kind::Object(o, version));
                         }
                     }
@@ -318,17 +361,14 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
                 NodeView::Internal(children) => {
                     for child in children {
                         let child_key = eng.block_key(child)?;
-                        let t = Instant::now();
-                        let bound = enqueue_bound(candidates, &d0k);
-                        pq_nanos += t.elapsed().as_nanos() as u64;
-                        if child_key < bound {
+                        if child_key < enqueue_bound(candidates, &d0k) {
                             eng.push(child_key, Kind::Block(child));
                         }
                     }
                 }
             },
             Kind::Object(o, _) => {
-                let iv = eng.states[&o].refiner.interval();
+                let iv = eng.states.state(o).refiner.interval();
                 // kNN-M: confirm without ordering when provably in the top k.
                 if use_kmindist && candidates.is_full() {
                     let quick = candidates.kth_lo().is_some_and(|lo| iv.hi <= lo);
@@ -336,11 +376,10 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
                         if let Some(kmin) = eng.kmindist(k, lows) {
                             eng.stats.kmindist_final = Some(kmin);
                             if iv.hi <= kmin {
-                                eng.states.get_mut(&o).unwrap().confirmed = true;
+                                eng.states.state_mut(o).confirmed = true;
                                 eng.stats.kmindist_pruned += 1;
-                                let t = Instant::now();
                                 candidates.upsert(o, iv);
-                                pq_nanos += t.elapsed().as_nanos() as u64;
+                                eng.stats.candidate_ops += 1;
                                 reported.push(Neighbor {
                                     object: o,
                                     vertex: eng.objects.vertex(o),
@@ -362,27 +401,23 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
                     None => true,
                 };
                 if no_collision {
-                    eng.states.get_mut(&o).unwrap().confirmed = true;
-                    let t = Instant::now();
+                    eng.states.state_mut(o).confirmed = true;
                     candidates.upsert(o, iv);
-                    pq_nanos += t.elapsed().as_nanos() as u64;
+                    eng.stats.candidate_ops += 1;
                     reported.push(Neighbor {
                         object: o,
                         vertex: eng.objects.vertex(o),
                         interval: iv,
                     });
                 } else {
-                    let t = Instant::now();
                     candidates.remove(o);
-                    pq_nanos += t.elapsed().as_nanos() as u64;
+                    eng.stats.candidate_ops += 1;
                     let (iv, version) = eng.refine(o)?;
-                    let t = Instant::now();
                     if iv.hi < candidates.dk() {
                         candidates.upsert(o, iv);
+                        eng.stats.candidate_ops += 1;
                     }
-                    let bound = enqueue_bound(candidates, &d0k);
-                    pq_nanos += t.elapsed().as_nanos() as u64;
-                    if iv.lo <= bound {
+                    if iv.lo <= enqueue_bound(candidates, &d0k) {
                         eng.push(iv.lo, Kind::Object(o, version));
                     }
                 }
@@ -395,13 +430,12 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
     if reported.len() < k {
         leftovers.clear();
         for (o, _, _) in candidates.iter() {
-            if !eng.states.get(&o).is_some_and(|s| s.confirmed) {
+            if !eng.states.is_confirmed(o) {
                 leftovers.push((0.0, o));
             }
         }
         for slot in leftovers.iter_mut() {
-            let state = eng.states.get_mut(&slot.1).unwrap();
-            slot.0 = state.refiner.try_refine_until_exact(browser)?;
+            slot.0 = eng.states.state_mut(slot.1).refiner.try_refine_until_exact(browser)?;
         }
         // Unstable sort: keys are distinct (distance ties broken by the
         // unique object id), and the stable sort would allocate.
@@ -419,7 +453,6 @@ pub(crate) fn try_knn_into<B: DistanceBrowser + ?Sized>(
     // Final statistics. `dk_final` is the tightest *known* upper bound on
     // the kth distance — the exact truth is recomputed by callers that need
     // it (e.g. the estimate-quality figure), outside any timed section.
-    eng.stats.pq_nanos = pq_nanos;
     if use_kmindist && eng.stats.kmindist_final.is_none() {
         eng.stats.kmindist_final = eng.kmindist(k, lows);
     }
@@ -492,7 +525,7 @@ pub(crate) fn try_inn_into<B: DistanceBrowser + ?Sized>(
     scratch: &mut KnnScratch,
 ) -> Result<(), QueryError> {
     assert!(k > 0, "k must be positive");
-    scratch.begin(k);
+    scratch.begin(k, objects);
     let KnnScratch { heap, states, result, .. } = scratch;
     let mut eng = Engine::new(browser, objects, query, heap, states)?;
     let reported = &mut result.neighbors;
@@ -502,7 +535,7 @@ pub(crate) fn try_inn_into<B: DistanceBrowser + ?Sized>(
             break;
         }
         if let Kind::Object(o, version) = kind {
-            let state = &eng.states[&o];
+            let state = eng.states.state(o);
             if state.confirmed || state.version != version {
                 continue;
             }
@@ -524,7 +557,7 @@ pub(crate) fn try_inn_into<B: DistanceBrowser + ?Sized>(
                 }
             },
             Kind::Object(o, _) => {
-                let iv = eng.states[&o].refiner.interval();
+                let iv = eng.states.state(o).refiner.interval();
                 let no_collision = match eng.heap.peek() {
                     Some(top) => iv.hi < top.key || (iv.is_exact() && iv.hi <= top.key),
                     None => true,
@@ -532,7 +565,7 @@ pub(crate) fn try_inn_into<B: DistanceBrowser + ?Sized>(
                 if no_collision {
                     // Report with the exact distance (see the doc comment);
                     // each remaining hop is a counted refinement.
-                    let state = eng.states.get_mut(&o).unwrap();
+                    let state = eng.states.state_mut(o);
                     state.confirmed = true;
                     let before = state.refiner.refinements();
                     let exact = state.refiner.try_refine_until_exact(browser)?;
@@ -746,6 +779,73 @@ mod tests {
             "KMINDIST {kmin} above true kth distance {}",
             r.stats.dk_final
         );
+    }
+
+    /// Neighbors and statistics with every float as bits.
+    fn fingerprint(r: &KnnResult) -> (Vec<(ObjectId, VertexId, u64, u64)>, String) {
+        let neighbors = r
+            .neighbors
+            .iter()
+            .map(|n| (n.object, n.vertex, n.interval.lo.to_bits(), n.interval.hi.to_bits()))
+            .collect();
+        (neighbors, format!("{:?}", r.stats))
+    }
+
+    #[test]
+    fn one_scratch_across_object_sets_answers_like_a_fresh_one() {
+        // A session's scratch alternating between object sets of 3, 560 and
+        // 40 objects — the router reuses one scratch across shards the same
+        // way — must answer exactly as a fresh scratch: slots a larger set
+        // touched must not leak into a smaller one.
+        let n = 600u32;
+        let g = Arc::new(road_network(&RoadConfig {
+            vertices: n as usize,
+            seed: 31,
+            ..Default::default()
+        }));
+        let idx =
+            SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 10, threads: 0 }).unwrap();
+        let sets: Vec<ObjectSet> = [(3u32, 1u32), (560, 2), (40, 3)]
+            .iter()
+            .map(|&(count, shift)| {
+                let vertices = (0..count).map(|i| VertexId((i * 7 + shift * 101) % n)).collect();
+                ObjectSet::from_vertices(&g, vertices, 8)
+            })
+            .collect();
+        let mut scratch = KnnScratch::new();
+        for _round in 0..2 {
+            for objects in &sets {
+                for q in [0u32, 123, 377, 599].map(VertexId) {
+                    let k = 10.min(objects.len());
+                    for variant in
+                        [KnnVariant::Basic, KnnVariant::EarlyEstimate, KnnVariant::MinDist]
+                    {
+                        try_knn_into(&idx, objects, q, k, variant, &mut scratch).unwrap();
+                        let fresh = knn(&idx, objects, q, k, variant);
+                        assert_eq!(
+                            fingerprint(scratch.result()),
+                            fingerprint(&fresh),
+                            "{variant:?}"
+                        );
+                    }
+                    try_inn_into(&idx, objects, q, k, &mut scratch).unwrap();
+                    assert_eq!(
+                        fingerprint(scratch.result()),
+                        fingerprint(&inn(&idx, objects, q, k))
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_ops_count_the_work_on_l() {
+        let (idx, objects) = fixture();
+        let r = knn(&idx, &objects, VertexId(42), 10, KnnVariant::Basic);
+        // Every reported neighbor entered L at least once.
+        assert!(r.stats.candidate_ops >= r.neighbors.len(), "{:?}", r.stats);
+        // INN keeps no candidate list.
+        assert_eq!(inn(&idx, &objects, VertexId(42), 10).stats.candidate_ops, 0);
     }
 
     #[test]

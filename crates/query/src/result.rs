@@ -22,7 +22,9 @@ pub struct Neighbor {
 /// Counters describing one query execution.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct QueryStats {
-    /// Refinement operations performed (paper fig. p.35).
+    /// Refinement operations performed (paper fig. p.35). Each advances one
+    /// hop and costs at most one block lookup: none when the hop lands on
+    /// the target.
     pub refinements: usize,
     /// Maximum size of the main priority queue `Q` (paper fig. p.34).
     pub max_queue: usize,
@@ -43,9 +45,10 @@ pub struct QueryStats {
     pub index_queries: usize,
     /// Vertices settled by Dijkstra/A* (INE and IER only).
     pub dijkstra_visited: usize,
-    /// Nanoseconds spent maintaining `L` and `Dk` (the kNN-PQ cost split of
-    /// paper fig. p.38).
-    pub pq_nanos: u64,
+    /// Upserts and removals on the candidate list `L` (the kNN algorithms
+    /// only): the work of maintaining `L` and `Dk`, the cost the paper's
+    /// fig. p.38 charges kNN for at large k. An exact count, not a timing.
+    pub candidate_ops: usize,
 }
 
 /// The outcome of a k-nearest-neighbor query.

@@ -10,11 +10,11 @@
 //!   shared object set. It is `Send + Sync` and cheap to clone (two `Arc`
 //!   bumps), so one engine serves any number of threads;
 //! * a [`QuerySession`] is the per-thread handle: it owns the reusable
-//!   workspaces (priority queue, object-state map, candidate list, Dijkstra
-//!   arrays, result buffers) that every algorithm runs through, so in steady
-//!   state a query performs **zero hot-path heap allocations** — the second
-//!   identical query through a session allocates nothing at all (locked by
-//!   the `session_alloc` integration test).
+//!   workspaces (priority queue, per-object state table, candidate list,
+//!   Dijkstra arrays, result buffers) that every algorithm runs through, so
+//!   in steady state a query performs **zero hot-path heap allocations** —
+//!   the second identical query through a session allocates nothing at all
+//!   (locked by the `session_alloc` integration test).
 //!
 //! Results come back as `&KnnResult` borrowed from the session (the buffers
 //! are reused by the next call); clone if you need to keep one. Every

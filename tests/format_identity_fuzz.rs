@@ -259,12 +259,6 @@ proptest! {
         separation in 6.0f64..12.0,
     ) {
         let g = Arc::new(road_network(&RoadConfig { vertices, seed, ..Default::default() }));
-        // The generator's connectivity check is a debug assertion; a rare
-        // release-build draw (77 vertices, seed 131378) is not strongly
-        // connected, which the oracle build rejects.
-        if !silc_network::analysis::is_strongly_connected(&g) {
-            return Ok(());
-        }
         let mem = DistanceOracle::build_with(
             &g,
             &silc_pcp::PcpBuildConfig { grid_exponent: 8, separation, threads: 1 },

@@ -139,6 +139,31 @@ fn steady_state_workload_stops_allocating() {
 }
 
 #[test]
+fn a_pass_over_new_query_vertices_allocates_nothing() {
+    // The per-object state table is sized by the object set, not by what a
+    // query touches: after one pass, queries from 20 vertices the session
+    // has never seen — touching other objects, more of them or fewer —
+    // still allocate nothing.
+    let (idx, objects) = fixture();
+    let engine = QueryEngine::new(idx, objects);
+    let mut session = engine.session();
+    let pass = |session: &mut silc_query::QuerySession<SilcIndex>, offset: u32| {
+        for i in 0..20u32 {
+            let q = VertexId((i * 10 + offset) % 200);
+            for variant in [KnnVariant::Basic, KnnVariant::EarlyEstimate, KnnVariant::MinDist] {
+                assert_eq!(session.knn(q, 10, variant).neighbors.len(), 10);
+            }
+            assert_eq!(session.inn(q, 10).neighbors.len(), 10);
+        }
+    };
+    pass(&mut session, 0);
+    let before = allocations_on_this_thread();
+    pass(&mut session, 5);
+    let allocated = allocations_on_this_thread() - before;
+    assert_eq!(allocated, 0, "a pass over unseen query vertices must run allocation-free");
+}
+
+#[test]
 fn encoding_a_response_into_a_warmed_buffer_allocates_nothing() {
     use silc_server::protocol::{encode_frame, encode_frame_into, WireNeighbor};
     use silc_server::{AnswerBody, Frame};
