@@ -3,22 +3,17 @@
 #
 #     cargo build --release && cargo test -q
 #
-.PHONY: build test bench bench-baseline bench-baseline-smoke bench-throughput \
-        bench-throughput-smoke bench-tradeoff bench-tradeoff-smoke bench-scale \
+.PHONY: build test bench-tradeoff bench-tradeoff-smoke bench-scale \
         bench-scale-smoke bench-latency bench-latency-smoke bench-check \
         benchmark-smoke benchmark-test chaos \
-        docs deep-fuzz figures lint fmt protocol-check hot-loop-check serve-smoke verify help
+        docs deep-fuzz figures figures-smoke lint fmt protocol-check hot-loop-check \
+        serve-smoke verify help
 
 help:
 	@echo "SILC workspace targets:"
 	@echo "  build                  release build of every crate"
 	@echo "  test                   full test suite (unit, property, integration, examples)"
 	@echo "  verify                 tier-1 gate: build + test (what CI runs)"
-	@echo "  bench                  all seven Criterion benches (paper figures)"
-	@echo "  bench-baseline         re-record BENCH_baseline.json (build cost + kNN latency)"
-	@echo "  bench-baseline-smoke   CI smoke for the baseline recorder (tiny, writes to target/)"
-	@echo "  bench-throughput       re-record BENCH_throughput.json (multi-worker QPS/p50/p99)"
-	@echo "  bench-throughput-smoke CI smoke for the throughput harness (tiny, writes to target/)"
 	@echo "  bench-tradeoff         re-record BENCH_tradeoff.json (SILC vs PCP from one substrate)"
 	@echo "  bench-tradeoff-smoke   CI smoke for the trade-off harness (tiny, writes to target/)"
 	@echo "  bench-scale            re-record BENCH_scale.json (partitioned build + routed kNN at scale)"
@@ -35,6 +30,7 @@ help:
 	@echo "  docs                   rustdoc with warnings denied (the CI docs gate)"
 	@echo "  deep-fuzz              the scheduled CI fuzz pass: the proptest suites at ~10x cases"
 	@echo "  figures                regenerate the paper's tables/figures as text"
+	@echo "  figures-smoke          every figure experiment at 300 vertices (CI runs this)"
 	@echo "  lint                   clippy -D warnings + rustfmt check"
 	@echo "  fmt                    rustfmt the whole workspace"
 
@@ -47,33 +43,6 @@ test:
 
 # Tier-1 verify: exactly what the CI gate runs.
 verify: build test
-
-# All seven Criterion benches (paper figures p.16/p.33 + ablations).
-bench:
-	cargo bench
-
-# Re-record the in-repo bench baseline (BENCH_baseline.json): index build
-# seconds, total Morton blocks, and kNN latency at fixed sizes/seeds. Run
-# this ONLY when intentionally resetting the perf comparison point.
-bench-baseline:
-	cargo run --release -p silc-bench --bin bench_baseline
-
-# CI smoke for the baseline recorder: tiny network, writes to target/, no
-# assertions on absolute time — only that the pipeline runs end to end.
-bench-baseline-smoke:
-	cargo run --release -p silc-bench --bin bench_baseline -- --smoke
-
-# Re-record the serving-throughput baseline (BENCH_throughput.json): W
-# worker sessions closed-loop over one shared disk index — QPS, p50/p99
-# latency, pool and entry-cache hit rates at 1 and W workers. Run ONLY when
-# intentionally resetting the comparison point.
-bench-throughput:
-	cargo run --release -p silc-bench --bin bench_throughput
-
-# CI smoke for the throughput harness: tiny network, short windows, writes
-# to target/ — only that the concurrent pipeline runs end to end.
-bench-throughput-smoke:
-	cargo run --release -p silc-bench --bin bench_throughput -- --smoke
 
 # Re-record the SILC-vs-PCP trade-off (BENCH_tradeoff.json): both indexes
 # built over the same network and served from the same buffer-pool
@@ -174,6 +143,11 @@ chaos:
 # Regenerate the paper's tables/figures as text via the figures binary.
 figures:
 	cargo run --release -p silc-bench --bin figures
+
+# CI smoke for the figures binary: every experiment, tiny network, one
+# trial — only that each report still prints.
+figures-smoke:
+	cargo run --release -p silc-bench --bin figures -- all --vertices 300 --trials 1 --queries 2
 
 lint:
 	cargo clippy --all-targets -- -D warnings

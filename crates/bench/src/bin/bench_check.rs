@@ -1,9 +1,8 @@
-//! CI gate for the committed bench records: validates `BENCH_baseline.json`,
-//! `BENCH_throughput.json`, `BENCH_tradeoff.json`, `BENCH_scale.json` and
-//! `BENCH_latency.json` against the recorders'
-//! current output schemas (see `silc_bench::schema`) and fails on drift —
-//! a recorder whose fields changed without re-recording the committed
-//! baseline, or a hand-edited record that no recorder would produce.
+//! CI gate for the committed bench records: validates every file in
+//! `silc_bench::schema::RECORDS` (`BENCH_tradeoff.json`, `BENCH_scale.json`,
+//! `BENCH_latency.json`) against its recorder's current output schema and
+//! fails on drift — a recorder whose fields changed without re-recording the
+//! committed record, or a hand-edited record that no recorder would produce.
 //!
 //! When the CI smoke runs have already produced fresh outputs under
 //! `target/`, those are validated too: that closes the loop end-to-end,
@@ -17,29 +16,12 @@
 //!   --dir PATH   repository root holding the BENCH_*.json files (default .)
 //! ```
 //!
-//! Exit code 0 when every present file validates; 1 otherwise. The five
-//! committed records are mandatory — a missing one is a failure.
+//! Exit code 0 when every present file validates; 1 otherwise. The
+//! committed records are mandatory — a missing one is a failure. The smoke
+//! output of `BENCH_<name>.json`'s recorder is `target/bench_<name>_smoke.json`.
 
-use silc_bench::schema::{
-    parse, validate, Shape, BASELINE_SCHEMA, LATENCY_SCHEMA, SCALE_SCHEMA, THROUGHPUT_SCHEMA,
-    TRADEOFF_SCHEMA,
-};
+use silc_bench::schema::{parse, validate, Shape, RECORDS};
 use std::path::{Path, PathBuf};
-
-/// `(file, schema, required)`: the committed records are mandatory, the
-/// smoke outputs are validated only when a prior smoke run produced them.
-const CHECKS: &[(&str, &Shape, bool)] = &[
-    ("BENCH_baseline.json", &BASELINE_SCHEMA, true),
-    ("BENCH_throughput.json", &THROUGHPUT_SCHEMA, true),
-    ("BENCH_tradeoff.json", &TRADEOFF_SCHEMA, true),
-    ("BENCH_scale.json", &SCALE_SCHEMA, true),
-    ("BENCH_latency.json", &LATENCY_SCHEMA, true),
-    ("target/bench_baseline_smoke.json", &BASELINE_SCHEMA, false),
-    ("target/bench_throughput_smoke.json", &THROUGHPUT_SCHEMA, false),
-    ("target/bench_tradeoff_smoke.json", &TRADEOFF_SCHEMA, false),
-    ("target/bench_scale_smoke.json", &SCALE_SCHEMA, false),
-    ("target/bench_latency_smoke.json", &LATENCY_SCHEMA, false),
-];
 
 fn check_file(path: &Path, schema: &Shape) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
@@ -65,22 +47,26 @@ fn main() {
     }
 
     let mut failures = 0usize;
-    for &(file, schema, required) in CHECKS {
-        let path = dir.join(file);
-        if !path.exists() {
-            if required {
-                eprintln!("FAIL {file}: missing (committed bench records are mandatory)");
-                failures += 1;
-            } else {
-                println!("skip {file}: not present (smoke output, optional)");
+    for &(record, schema) in RECORDS {
+        let smoke =
+            format!("target/{}_smoke.json", record.trim_end_matches(".json").to_lowercase());
+        for (file, required) in [(record, true), (smoke.as_str(), false)] {
+            let path = dir.join(file);
+            if !path.exists() {
+                if required {
+                    eprintln!("FAIL {file}: missing (committed bench records are mandatory)");
+                    failures += 1;
+                } else {
+                    println!("skip {file}: not present (smoke output, optional)");
+                }
+                continue;
             }
-            continue;
-        }
-        match check_file(&path, schema) {
-            Ok(()) => println!("  ok {file}"),
-            Err(e) => {
-                eprintln!("FAIL {file}: {e}");
-                failures += 1;
+            match check_file(&path, schema) {
+                Ok(()) => println!("  ok {file}"),
+                Err(e) => {
+                    eprintln!("FAIL {file}: {e}");
+                    failures += 1;
+                }
             }
         }
     }
@@ -88,7 +74,7 @@ fn main() {
         eprintln!(
             "bench schema drift: {failures} file(s) do not match the recorders' current output \
              schema. If a recorder's fields changed intentionally, update \
-             crates/bench/src/schema.rs AND re-record the committed baseline."
+             crates/bench/src/schema.rs AND re-record the committed record."
         );
         std::process::exit(1);
     }

@@ -1,7 +1,8 @@
 //! Open-loop tail latency through the TCP server.
 //!
-//! The closed-loop recorders (`bench_throughput`) measure how fast the
-//! engine can go when clients politely wait their turn; this one measures
+//! A closed-loop driver (the repository benchmark's `served_warm`
+//! workload) measures how fast the engine can go when clients politely
+//! wait their turn; this one measures
 //! what a *clock-driven* client population sees. Query batches arrive as a
 //! Poisson process at a configured offered load whether or not the server
 //! has caught up, so queueing delay — the thing closed loops hide — shows
@@ -29,8 +30,8 @@
 //!                     write to target/ — only checks the pipeline runs
 //! ```
 //!
-//! Workload constants match `bench_throughput`: kNN (Basic), `k = 10`,
-//! object density 0.07. The page cache is deliberately small (2 % of the
+//! Workload constants match the repository benchmark (`benchmark/`): kNN
+//! (Basic), `k = 10`, object density 0.07. The page cache is deliberately small (2 % of the
 //! pages, not the paper's 5 %) so batch order has pages to fight over.
 
 use rand::rngs::StdRng;

@@ -28,8 +28,9 @@
 //!                     certifies every fault-free query (complete == 1.0)
 //! ```
 //!
-//! Workload constants match `bench_throughput`: `k = 10`, object density
-//! 0.07, cache fraction 0.05, grid exponent 11.
+//! Workload constants match the repository benchmark's `routed_100k`
+//! workload (`benchmark/`): `k = 10`, object density 0.07, cache fraction
+//! 0.05, grid exponent 11.
 
 use silc::partitioned::{PartitionedBuildConfig, PartitionedSilcIndex};
 use silc::{BuildConfig, SilcIndex};
@@ -230,9 +231,8 @@ fn run_size(
     let engine = PartitionedEngine::new(Arc::clone(&index), objects);
     let engine_s = t.elapsed().as_secs_f64();
 
-    // Closed-loop routed kNN, single worker (the router's concurrency
-    // story is the session layer already measured by bench_throughput;
-    // here the question is per-query cost at scale).
+    // Closed-loop routed kNN, single worker: the question here is
+    // per-query cost at scale, not concurrency.
     let nv = network.vertex_count() as u64;
     let mut session = engine.session();
     for i in 0..32u64 {

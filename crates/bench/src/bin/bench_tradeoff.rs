@@ -32,10 +32,9 @@
 //!                     write to target/ — only checks the pipeline runs
 //! ```
 //!
-//! Queries run single-threaded closed-loop (the concurrency story is
-//! `bench_throughput`'s job); each backend starts cold (`clear_cache`),
-//! warms on the first 10 % of the query set, then the full set is timed
-//! with freshly reset cache counters.
+//! Queries run single-threaded closed-loop; each backend starts cold
+//! (`clear_cache`), warms on the first 10 % of the query set, then the
+//! full set is timed with freshly reset cache counters.
 
 use silc::disk::{write_index, DiskSilcIndex};
 use silc::{BuildConfig, SilcIndex};

@@ -1,4 +1,4 @@
-//! One module per paper artifact. See DESIGN.md for the experiment index.
+//! One module per paper artifact. The `figures` binary's docs index them.
 
 pub mod ablation;
 pub mod io_time;

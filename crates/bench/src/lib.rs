@@ -1,10 +1,10 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each experiment in [`experiments`] corresponds to one artifact of the
-//! paper's evaluation (see `DESIGN.md` for the full index) and returns
-//! structured rows that the `figures` binary prints. The same functions are
-//! wrapped by the Criterion benches, so `cargo bench` and
-//! `cargo run --bin figures` measure identical code paths.
+//! paper's evaluation and returns a report that the `figures` binary — the
+//! one harness that regenerates the paper's table and figures, and whose
+//! docs list them all — prints. Performance evidence comes from the
+//! repository benchmark (`BENCHMARK.json`, `benchmark/`), not from here.
 
 pub mod experiments;
 pub mod schema;

@@ -1,15 +1,16 @@
 //! The committed bench records' schemas, and a minimal JSON reader to
 //! check them.
 //!
-//! The recorder binaries (`bench_baseline`, `bench_throughput`,
-//! `bench_tradeoff`, `bench_scale`, `bench_latency`) hand-assemble their JSON output (the serde shims are
+//! The recorder binaries (`bench_tradeoff`, `bench_scale`,
+//! `bench_latency`) hand-assemble their JSON output (the serde shims are
 //! no-op derives), which means nothing ties the **committed**
 //! `BENCH_*.json` files to the recorders' current output shape: a PR can
-//! change a recorder's fields and silently leave the committed baselines
-//! describing a measurement that no longer exists. The `bench_check` binary
-//! closes that gap — it validates the committed files (and, when present,
-//! the smoke outputs the CI run just produced under `target/`) against the
-//! specs in this module, failing loudly on drift.
+//! change a recorder's fields and silently leave the committed records
+//! describing a measurement that no longer exists. [`RECORDS`] is the one
+//! list of committed records and their schemas; the `bench_check` binary
+//! validates them (and, when present, the smoke outputs the CI run just
+//! produced under `target/`), and this module's tests check that the
+//! `BENCH_*.json` files at the repository root are exactly that list.
 //!
 //! **Keep the specs in lock-step with the recorders:** a field added to or
 //! removed from a recorder's JSON must be mirrored here *and* the committed
@@ -30,24 +31,6 @@ pub enum Json {
     /// Key–value pairs in document order (duplicate keys are rejected at
     /// parse time).
     Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key of an object value.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a finite number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
 }
 
 /// Parses a JSON document (the subset the recorders emit).
@@ -230,47 +213,6 @@ fn validate_at(value: &Json, shape: &Shape, path: &str) -> Result<(), String> {
     }
 }
 
-/// Schema of `BENCH_baseline.json` (`bench_baseline` recorder).
-pub const BASELINE_SCHEMA: Shape = Shape::Obj(&[
-    ("vertices", Shape::Num),
-    ("seed", Shape::Num),
-    ("grid_exponent", Shape::Num),
-    ("edge_factor", Shape::Num),
-    ("host_threads", Shape::Num),
-    ("build_seconds_serial", Shape::Num),
-    ("build_seconds_parallel", Shape::Num),
-    ("total_blocks", Shape::Num),
-    ("knn_k", Shape::Num),
-    ("knn_density", Shape::Num),
-    ("knn_queries", Shape::Num),
-    ("knn_mean_us", Shape::Num),
-    ("knn_p95_us", Shape::Num),
-]);
-
-/// Schema of `BENCH_throughput.json` (`bench_throughput` recorder).
-pub const THROUGHPUT_SCHEMA: Shape = Shape::Obj(&[
-    ("vertices", Shape::Num),
-    ("seed", Shape::Num),
-    ("grid_exponent", Shape::Num),
-    ("cache_fraction", Shape::Num),
-    ("knn_k", Shape::Num),
-    ("knn_density", Shape::Num),
-    ("duration_ms", Shape::Num),
-    ("host_threads", Shape::Num),
-    (
-        "runs",
-        Shape::Arr(&Shape::Obj(&[
-            ("workers", Shape::Num),
-            ("queries", Shape::Num),
-            ("qps", Shape::Num),
-            ("p50_us", Shape::Num),
-            ("p99_us", Shape::Num),
-            ("pool_hit_rate", Shape::Num),
-            ("entry_cache_hit_rate", Shape::Num),
-        ])),
-    ),
-]);
-
 /// Schema of `BENCH_tradeoff.json` (`bench_tradeoff` recorder).
 pub const TRADEOFF_SCHEMA: Shape = Shape::Obj(&[
     ("vertices", Shape::Num),
@@ -379,6 +321,15 @@ pub const LATENCY_SCHEMA: Shape = Shape::Obj(&[
     ),
 ]);
 
+/// Every committed bench record at the repository root, with its schema:
+/// `bench_check` validates these, and the tests below check that no other
+/// `BENCH_*.json` file sits beside them.
+pub const RECORDS: &[(&str, &Shape)] = &[
+    ("BENCH_tradeoff.json", &TRADEOFF_SCHEMA),
+    ("BENCH_scale.json", &SCALE_SCHEMA),
+    ("BENCH_latency.json", &LATENCY_SCHEMA),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,13 +337,13 @@ mod tests {
     #[test]
     fn parses_scalars_arrays_objects() {
         let v = parse(r#"{"a": 1.5, "b": [1, -2e3, null], "c": "hi", "d": true}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_num(), Some(1.5));
-        assert_eq!(
-            v.get("b"),
-            Some(&Json::Arr(vec![Json::Num(1.0), Json::Num(-2000.0), Json::Null]))
-        );
-        assert_eq!(v.get("c"), Some(&Json::Str("hi".into())));
-        assert_eq!(v.get("d"), Some(&Json::Bool(true)));
+        let expected = Json::Obj(vec![
+            ("a".into(), Json::Num(1.5)),
+            ("b".into(), Json::Arr(vec![Json::Num(1.0), Json::Num(-2000.0), Json::Null])),
+            ("c".into(), Json::Str("hi".into())),
+            ("d".into(), Json::Bool(true)),
+        ]);
+        assert_eq!(v, expected);
     }
 
     #[test]
@@ -423,19 +374,25 @@ mod tests {
     #[test]
     fn committed_records_match_their_schemas() {
         // The in-repo gate the bench_check binary runs in CI: if this fails,
-        // a recorder's schema and the committed record have drifted apart.
-        for (file, schema) in [
-            ("BENCH_baseline.json", &BASELINE_SCHEMA),
-            ("BENCH_throughput.json", &THROUGHPUT_SCHEMA),
-            ("BENCH_tradeoff.json", &TRADEOFF_SCHEMA),
-            ("BENCH_scale.json", &SCALE_SCHEMA),
-            ("BENCH_latency.json", &LATENCY_SCHEMA),
-        ] {
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + file;
+        // a recorder's schema and the committed record have drifted apart,
+        // or a record whose recorder is gone (or a record with no schema)
+        // sits at the repository root.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        for &(file, schema) in RECORDS {
+            let path = format!("{root}{file}");
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
             let value = parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
             validate(&value, schema).unwrap_or_else(|e| panic!("{file}: {e}"));
         }
+        let mut on_disk: Vec<String> = std::fs::read_dir(root)
+            .unwrap_or_else(|e| panic!("cannot list {root}: {e}"))
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            .collect();
+        on_disk.sort();
+        let mut listed: Vec<&str> = RECORDS.iter().map(|&(file, _)| file).collect();
+        listed.sort();
+        assert_eq!(on_disk, listed, "BENCH_*.json files at the root vs schema::RECORDS");
     }
 }

@@ -10,24 +10,15 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Nearest-rank percentile of an already sorted sample; 0 for an empty
-/// slice. The one definition all three bench recorders (`bench_baseline`,
-/// `bench_throughput`, `bench_tradeoff`) report with, so the committed
-/// `BENCH_*.json` baselines stay mutually comparable.
+/// slice. The one definition the bench recorders (`bench_tradeoff`,
+/// `bench_scale`, `bench_latency`) report with, so the committed
+/// `BENCH_*.json` records stay mutually comparable.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-/// Sample standard deviation; 0 for fewer than two samples.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
 /// Least-squares slope of `y` against `x` (used for the log-log storage
@@ -42,23 +33,14 @@ pub fn slope(x: &[f64], y: &[f64]) -> f64 {
     num / den
 }
 
-/// Geometric mean; panics on non-positive values.
-pub fn geomean(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty());
-    assert!(xs.iter().all(|&x| x > 0.0), "geomean needs positive values");
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        assert!((stddev(&[2.0, 4.0]) - 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -74,10 +56,5 @@ mod tests {
         let y: Vec<f64> =
             [1000.0f64, 2000.0, 4000.0, 8000.0].iter().map(|n| (2.0 * n.powf(1.5)).ln()).collect();
         assert!((slope(&x, &y) - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
     }
 }

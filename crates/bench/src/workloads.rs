@@ -2,10 +2,9 @@
 //!
 //! The paper's testbed is a TIGER extract of the US eastern seaboard
 //! (91,113 vertices / 114,176 edges, m/n ≈ 1.25). We substitute
-//! `silc_network::generate::road_network` with the same edge/vertex ratio
-//! (see DESIGN.md, "Substitutions"); the network size defaults to 4,000
-//! vertices so the full figure suite runs on a laptop-class single core,
-//! and scales up with `--full`.
+//! `silc_network::generate::road_network` with the same edge/vertex ratio;
+//! the network size defaults to 4,000 vertices so the full figure suite
+//! runs on a laptop-class single core, and scales up with `--full`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -71,9 +71,9 @@ fn unpack(key: u128) -> (f64, u32) {
 }
 
 /// A min-heap over packed `(dist, vertex)` keys, used by the classic-order
-/// fallback loop and by A*. Pop order over distinct keys is the total
-/// `u128` order, so swapping the backing structure changes performance,
-/// never results.
+/// fallback loop and by [`sssp_settle_until`]. Pop order over distinct keys
+/// is the total `u128` order, so swapping the backing structure changes
+/// performance, never results.
 #[derive(Debug, Default)]
 pub(crate) struct MinHeap {
     data: BinaryHeap<std::cmp::Reverse<u128>>,
@@ -139,11 +139,11 @@ pub struct SsspWorkspace {
     dirty: Vec<u32>,
     dirty_len: usize,
     /// Per-run marks: `stamp[v] == generation` records a settled vertex in
-    /// phase 1 (and the settled set in A*), `generation + 1` marks a
-    /// resolved first hop in phase 2.
+    /// phase 1 (and the settled set in [`sssp_settle_until`]),
+    /// `generation + 1` marks a resolved first hop in phase 2.
     stamp: Vec<u32>,
     generation: u32,
-    /// Heap for the classic fallback and A*.
+    /// Heap for the classic fallback and [`sssp_settle_until`].
     heap: MinHeap,
     /// Phase-1 bucket ring and its occupancy bitmap.
     ring: Vec<Vec<u32>>,
@@ -824,80 +824,6 @@ pub fn point_to_point(
 /// Network distance source → target, or `None` if unreachable.
 pub fn distance(g: &SpatialNetwork, source: VertexId, target: VertexId) -> Option<f64> {
     point_to_point(g, source, target).map(|r| r.distance)
-}
-
-/// A* point-to-point search over a reusable workspace (the engine behind
-/// [`crate::astar::AStar::search_with`]): goal-directed keys `g + h` with
-/// `h = scale · d_euclid(v, target)`, settle marks in the generation
-/// stamps, and the same allocation-free reset discipline as the SSSP
-/// entry points. Behavior (including tie-breaking on vertex id) is
-/// identical to the historical one-shot implementation.
-pub(crate) fn astar_search_into(
-    g: &SpatialNetwork,
-    source: VertexId,
-    target: VertexId,
-    scale: f64,
-    ws: &mut SsspWorkspace,
-) -> Option<PathResult> {
-    let gen = ws.begin(g);
-    let dist = &mut ws.dist[..];
-    let parent = &mut ws.parent[..];
-    let stamp = &mut ws.stamp[..];
-    let dirty = &mut ws.dirty;
-    let mut dlen = 0usize;
-    let heap = &mut ws.heap;
-
-    let goal = g.position(target);
-    let si = source.index();
-    dist[si] = 0.0;
-    parent[si] = NO_VERTEX;
-    dirty[dlen] = source.0;
-    dlen += 1;
-    let h0 = scale * g.position(source).distance(&goal);
-    heap.push(pack(h0, source.0));
-    let mut visited = 0usize;
-    let mut result = None;
-
-    while let Some(key) = heap.pop() {
-        let u = key as u32;
-        let ui = u as usize;
-        if stamp[ui] == gen {
-            continue;
-        }
-        stamp[ui] = gen;
-        visited += 1;
-        if u == target.0 {
-            let mut path = vec![target];
-            let mut cur = u;
-            while parent[cur as usize] != NO_VERTEX {
-                cur = parent[cur as usize];
-                path.push(VertexId(cur));
-            }
-            path.reverse();
-            result = Some(PathResult { distance: dist[target.index()], path, visited });
-            break;
-        }
-        let d = dist[ui];
-        for (v, w) in g.out_edges(VertexId(u)) {
-            let vi = v.index();
-            if stamp[vi] == gen {
-                continue;
-            }
-            let nd = d + w;
-            if nd < dist[vi] {
-                if dist[vi].is_infinite() {
-                    dirty[dlen] = v.0;
-                    dlen += 1;
-                }
-                dist[vi] = nd;
-                parent[vi] = u;
-                let h = scale * g.position(v).distance(&goal);
-                heap.push(pack(nd + h, v.0));
-            }
-        }
-    }
-    ws.dirty_len = dlen;
-    result
 }
 
 /// Min-heap entry ordered by distance, ties broken on vertex id so runs are

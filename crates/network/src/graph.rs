@@ -236,8 +236,8 @@ impl SpatialNetwork {
 
     /// The minimum over all edges of `weight / euclidean_length`.
     ///
-    /// Scaling Euclidean distances by this ratio yields an admissible A*
-    /// heuristic and a valid network-distance lower bound. Edges between
+    /// Scaling Euclidean distances by this ratio yields a valid
+    /// network-distance lower bound (IER's candidate filter). Edges between
     /// coincident points are skipped; returns 1.0 for edgeless graphs,
     /// capped at 1.0 since the trivial bound `d_N ≥ 0` must stay valid for
     /// ratio-based reasoning on arbitrary vertex pairs.

@@ -10,8 +10,6 @@
 //!   extraction (the coloring SILC precomputation needs), point-to-point
 //!   search with visit counting, and a step-wise [`dijkstra::Expander`] that
 //!   the INE baseline drives incrementally,
-//! * [`astar`] — goal-directed point-to-point search used by the IER
-//!   baseline,
 //! * [`generate`] — synthetic road-network generators (perturbed grids and
 //!   Gabriel-graph road networks) standing in for the paper's TIGER-derived
 //!   US eastern-seaboard network,
@@ -20,7 +18,6 @@
 //!   cached between experiment runs.
 
 pub mod analysis;
-pub mod astar;
 pub mod dijkstra;
 pub mod generate;
 pub mod graph;

@@ -8,7 +8,7 @@
 //!    vertex; each distinct representative gets **one** truncated
 //!    multi-target Dijkstra ([`silc_network::dijkstra::sssp_settle_until`])
 //!    that stops as soon as the last marked target settles, instead of one
-//!    A* per pair. At most `n` searches replace `O(s²n)` probes.
+//!    point-to-point search per pair. At most `n` searches replace `O(s²n)` probes.
 //! 2. **Self-scheduled workers.** Representative tasks are chunked onto
 //!    worker threads that pop disjoint `&mut` runs of pre-allocated output
 //!    slots (shared-nothing scratch per worker for its whole lifetime), so

@@ -52,8 +52,8 @@
 //! from the session's buffers and are bit-identical to the one-shot
 //! wrappers (locked by tests). Paired with the sharded buffer pool and the
 //! decoded-entries cache of `DiskSilcIndex`, this is the crate's concurrent
-//! query-serving architecture; `bench_throughput` in `silc-bench` measures
-//! it end to end.
+//! query-serving architecture; the repository benchmark's `local_warm` and
+//! `local_cold` workloads (`benchmark/`) measure it end to end.
 //!
 //! The same engine/session pattern extends across spatial shards:
 //! [`PartitionedEngine`] / [`PartitionedSession`] (module [`router`]) route

@@ -43,7 +43,7 @@ pub struct QueryStats {
     /// Spatial-index probes (INE: object lookups per settled vertex; IER:
     /// Euclidean candidates drawn).
     pub index_queries: usize,
-    /// Vertices settled by Dijkstra/A* (INE and IER only).
+    /// Vertices settled by Dijkstra (INE and IER only).
     pub dijkstra_visited: usize,
     /// Upserts and removals on the candidate list `L` (the kNN algorithms
     /// only): the work of maintaining `L` and `Dk`, the cost the paper's

@@ -12,15 +12,13 @@
 //!
 //! ```
 //! use silc_storage::{
-//!     BufferPool, FaultInjectingPageStore, FaultKind, MemPageStore, PageId, RetryPolicy,
-//!     PAGE_SIZE,
+//!     BufferPool, FaultInjectingPageStore, FaultKind, MemPageStore, PageId, PAGE_SIZE,
 //! };
 //!
 //! let inner = MemPageStore::new(&vec![7u8; 2 * PAGE_SIZE]);
 //! // First read event hits a transient fault, everything after succeeds.
 //! let store = FaultInjectingPageStore::scripted(inner, [Some(FaultKind::Transient), None]);
-//! let mut pool = BufferPool::new(store, 2);
-//! pool.set_retry_policy(RetryPolicy::fast());
+//! let pool = BufferPool::new(store, 2);
 //! let page = pool.get(PageId(0)).unwrap(); // retried transparently
 //! assert_eq!(page[0], 7);
 //! let stats = pool.stats();
@@ -37,7 +35,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A transient error (`io::ErrorKind::Interrupted`): succeeds when
-    /// retried. What a [`RetryPolicy`](crate::RetryPolicy) absorbs.
+    /// retried. What the [`BufferPool`](crate::BufferPool)'s retries absorb.
     Transient,
     /// A permanent error (`io::ErrorKind::Other`): the page joins a dead
     /// set, so retries keep failing. What must propagate as a typed error.

@@ -26,9 +26,9 @@
 //!   page ([`PageCorrupt`]) instead of a silently wrong answer; every
 //!   paged format writes and finds its table through [`checksum::seal`]
 //!   and [`checksum::open_table`],
-//! * [`RetryPolicy`] — deterministic bounded-backoff retries of transient
-//!   store faults inside the pool, with exact `retries`/`faults_seen`
-//!   counters in [`IoStats`],
+//! * retries — the pool retries a transient store fault up to twice, with
+//!   a deterministic 1 ms then 2 ms backoff, and counts them exactly in
+//!   [`IoStats`]'s `retries`/`faults_seen`,
 //! * [`FaultInjectingPageStore`] — seeded, reproducible fault injection
 //!   (transient, permanent, bit-flip, torn reads) for chaos tests.
 
@@ -47,6 +47,6 @@ pub use checksum::{
     PageCorrupt,
 };
 pub use fault::{FaultCounts, FaultInjectingPageStore, FaultKind, FaultRates};
-pub use pool::{BufferPool, IoStats, PrefetchPolicy, RetryPolicy, MAX_COALESCED_PAGES};
+pub use pool::{BufferPool, IoStats, PrefetchPolicy, MAX_COALESCED_PAGES};
 pub use store::{FilePageStore, MemPageStore, PageId, PageStore, PAGE_SIZE};
 pub use tiered::{default_decoded_capacity, read_span, TieredPool};

@@ -31,8 +31,8 @@ pub struct IoStats {
     pub bytes_read: u64,
     /// Wall-clock nanoseconds spent reading from the underlying store.
     pub read_nanos: u64,
-    /// Store read attempts re-issued after a transient fault (per the
-    /// pool's [`RetryPolicy`]).
+    /// Store read attempts re-issued after a transient fault (at most two
+    /// per store call).
     pub retries: u64,
     /// Store faults observed: transient errors, permanent errors, torn
     /// (short) reads, and checksum mismatches — whether or not a retry
@@ -108,51 +108,17 @@ pub struct PrefetchPolicy {
     pub window: usize,
 }
 
-/// How a [`BufferPool`] retries transient store faults.
-///
-/// *Transient* means `io::ErrorKind::Interrupted`, `TimedOut` or
-/// `WouldBlock`, plus torn (short) reads — the faults a healthy disk can
-/// recover from on the next attempt. Permanent errors and checksum
-/// mismatches are never retried. Backoff doubles per attempt up to
-/// `backoff_max` with no jitter, so a given fault schedule always produces
-/// the same retry sequence (deterministic tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per store call, the first one included (minimum 1).
-    pub max_attempts: u32,
-    /// Sleep before the first retry; doubles per further retry.
-    pub backoff: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub backoff_max: Duration,
-}
+/// Total attempts per store call, the first one included. Only transient
+/// faults (`io::ErrorKind::Interrupted`, `TimedOut` or `WouldBlock`) and
+/// torn (short) reads are retried — the faults a healthy disk can recover
+/// from on the next attempt. Permanent errors and checksum mismatches are
+/// never retried.
+const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    /// Three attempts, 1 ms initial backoff, 20 ms cap.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(20),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A single attempt: every fault propagates immediately.
-    pub fn no_retry() -> Self {
-        RetryPolicy { max_attempts: 1, backoff: Duration::ZERO, backoff_max: Duration::ZERO }
-    }
-
-    /// Default attempts with zero backoff — what deterministic tests use.
-    pub fn fast() -> Self {
-        RetryPolicy { max_attempts: 3, backoff: Duration::ZERO, backoff_max: Duration::ZERO }
-    }
-
-    /// Sleep before retry number `retry` (1-based), doubling and capped.
-    fn delay(&self, retry: u32) -> Duration {
-        self.backoff.saturating_mul(1u32 << (retry - 1).min(16)).min(self.backoff_max)
-    }
-}
+/// Sleep before the first retry; it doubles per further retry (1 ms, then
+/// 2 ms) with no jitter, so a given fault schedule always produces the same
+/// retry sequence.
+const BACKOFF: Duration = Duration::from_millis(1);
 
 /// Is this the kind of store error a retry can plausibly clear?
 fn is_transient(e: &io::Error) -> bool {
@@ -287,7 +253,6 @@ pub struct BufferPool<S: PageStore> {
     store: S,
     capacity: usize,
     shards: Box<[Shard]>,
-    retry: RetryPolicy,
     prefetch: PrefetchPolicy,
     checks: Option<Arc<ChecksumTable>>,
 }
@@ -315,14 +280,7 @@ impl<S: PageStore> BufferPool<S> {
                 loaded: Condvar::new(),
             })
             .collect();
-        BufferPool {
-            store,
-            capacity,
-            shards,
-            retry: RetryPolicy::default(),
-            prefetch: PrefetchPolicy::default(),
-            checks: None,
-        }
+        BufferPool { store, capacity, shards, prefetch: PrefetchPolicy::default(), checks: None }
     }
 
     /// Creates a pool sized to `fraction` of the store's pages — the paper
@@ -346,17 +304,6 @@ impl<S: PageStore> BufferPool<S> {
     /// The underlying store.
     pub fn store(&self) -> &S {
         &self.store
-    }
-
-    /// Sets how transient store faults are retried (see [`RetryPolicy`]).
-    /// Configure before sharing the pool across threads.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = RetryPolicy { max_attempts: retry.max_attempts.max(1), ..retry };
-    }
-
-    /// The pool's current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Sets the readahead hint for [`Self::read_range`] (see
@@ -409,12 +356,9 @@ impl<S: PageStore> BufferPool<S> {
                 }
                 Err(e) => {
                     acct.faults += 1;
-                    if is_transient(&e) && attempt < self.retry.max_attempts {
+                    if is_transient(&e) && attempt < MAX_ATTEMPTS {
                         acct.retries += 1;
-                        let d = self.retry.delay(attempt);
-                        if !d.is_zero() {
-                            std::thread::sleep(d);
-                        }
+                        std::thread::sleep(BACKOFF * (1 << (attempt - 1)));
                         attempt += 1;
                         continue;
                     }
@@ -467,12 +411,9 @@ impl<S: PageStore> BufferPool<S> {
                 }
                 Err(e) => {
                     acct.faults += 1;
-                    if is_transient(&e) && attempt < self.retry.max_attempts {
+                    if is_transient(&e) && attempt < MAX_ATTEMPTS {
                         acct.retries += 1;
-                        let d = self.retry.delay(attempt);
-                        if !d.is_zero() {
-                            std::thread::sleep(d);
-                        }
+                        std::thread::sleep(BACKOFF * (1 << (attempt - 1)));
                         attempt += 1;
                         continue;
                     }
@@ -1015,8 +956,7 @@ mod tests {
             store_with(2),
             [Some(FaultKind::Transient), None, Some(FaultKind::Torn), None],
         );
-        let mut pool = BufferPool::new(store, 2);
-        pool.set_retry_policy(RetryPolicy::fast());
+        let pool = BufferPool::new(store, 2);
         // One transient error, then one torn read — each absorbed by one
         // retry, invisible to the caller.
         assert_eq!(pool.get(PageId(0)).unwrap()[0], 0);
@@ -1032,8 +972,7 @@ mod tests {
         use crate::fault::{FaultInjectingPageStore, FaultKind};
         let store =
             FaultInjectingPageStore::scripted(store_with(2), vec![Some(FaultKind::Transient); 5]);
-        let mut pool = BufferPool::new(store, 2);
-        pool.set_retry_policy(RetryPolicy::fast()); // 3 attempts
+        let pool = BufferPool::new(store, 2); // 3 attempts
         let err = pool.get(PageId(0)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         let s = pool.stats();
@@ -1050,8 +989,7 @@ mod tests {
     fn permanent_faults_propagate_without_retry() {
         use crate::fault::{FaultInjectingPageStore, FaultKind};
         let store = FaultInjectingPageStore::scripted(store_with(2), [Some(FaultKind::Permanent)]);
-        let mut pool = BufferPool::new(store, 2);
-        pool.set_retry_policy(RetryPolicy::fast());
+        let pool = BufferPool::new(store, 2);
         assert!(pool.get(PageId(1)).is_err());
         let s = pool.stats();
         assert_eq!((s.faults_seen, s.retries), (1, 0), "permanent faults are not retried");
@@ -1092,8 +1030,7 @@ mod tests {
             store_with(PAGES),
             [None, Some(FaultKind::Transient)],
         );
-        let mut pool = BufferPool::new(store, PAGES);
-        pool.set_retry_policy(RetryPolicy::fast());
+        let pool = BufferPool::new(store, PAGES);
         let mut out = Vec::new();
         pool.read_range(0, (PAGES * PAGE_SIZE) as u64, &mut out).unwrap();
         assert_eq!(out.len(), PAGES * PAGE_SIZE);
