@@ -25,7 +25,7 @@ help:
 	@echo "  benchmark-test         the repository benchmark's own unit tests (statistics, checks, trace)"
 	@echo "  serve-smoke            scripted client session against a loopback silc-server"
 	@echo "  protocol-check         docs/PROTOCOL.md <-> protocol.rs test lockstep gate"
-	@echo "  hot-loop-check         no clock or hash in the kNN loop and the refinement step"
+	@echo "  hot-loop-check         no clock or hash in the kNN loop, the refinement step and the disk lookup"
 	@echo "  chaos                  fault-injection matrix: seeded disk faults, retries, dead shards"
 	@echo "  docs                   rustdoc with warnings denied (the CI docs gate)"
 	@echo "  deep-fuzz              the scheduled CI fuzz pass: the proptest suites at ~10x cases"

@@ -14,7 +14,10 @@
 //! Reported per run: offered vs achieved QPS, p50/p99/p999 latency
 //! (measured from each batch's *scheduled* arrival, so sender lag counts),
 //! `SERVER_BUSY` sheds, and both cache layers' hit rates from the
-//! in-process disk index handle.
+//! in-process disk index handle. Since `SILCIDX4` the index has no
+//! decoded-entry cache: `entry_cache_hit_rate` reads the idle stub of
+//! `DiskSilcIndex::entry_cache_stats` (1.0, zero requests), kept so the
+//! record's schema holds until this recorder is retired.
 //!
 //! ```text
 //! cargo run -p silc-bench --release --bin bench_latency -- [FLAGS]

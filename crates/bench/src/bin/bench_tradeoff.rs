@@ -10,7 +10,10 @@
 //! paper's 5 % page cache. Per backend it records build time, on-disk
 //! bytes, QPS/p50/p99 latency, both cache layers' hit rates, and the
 //! observed relative error against the exact answers next to the oracle's
-//! guaranteed ε bound.
+//! guaranteed ε bound. The disk SILC index has had no decoded-entry cache
+//! since `SILCIDX4`: its `cache_hit_rate` reads the idle stub of
+//! `DiskSilcIndex::entry_cache_stats` (1.0, zero requests), kept so the
+//! record's schema holds until this recorder is retired.
 //!
 //! The PCP oracle is built **twice** — serial (`threads = 1`) and parallel
 //! (`threads = 0`) — with both encodes asserted byte-identical in flight,

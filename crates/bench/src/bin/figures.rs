@@ -26,6 +26,10 @@
 //!   --seed S       master RNG seed                     (default 2008)
 //!   --full         paper-scale settings: 50 trials, larger networks
 //! ```
+//!
+//! `storage-scaling` builds its own networks: 500–8 000 vertices by
+//! default, 1 000–32 000 with `--full`, and with `--vertices N` (without
+//! `--full`) sizes doubling up to N, so a small smoke run stays small.
 
 use silc_bench::experiments::{ablation, io_time, pcp, precompute, sweep};
 use silc_bench::{StandardWorkload, WorkloadConfig};
@@ -39,6 +43,9 @@ struct Args {
     queries: usize,
     seed: u64,
     full: bool,
+    /// Whether `--vertices` was given (it then also sizes
+    /// `storage-scaling`).
+    saw_vertices: bool,
 }
 
 fn parse_args() -> Args {
@@ -49,15 +56,15 @@ fn parse_args() -> Args {
         queries: 8,
         seed: 2008,
         full: false,
+        saw_vertices: false,
     };
     let mut it = std::env::args().skip(1);
-    let mut saw_vertices = false;
     let mut saw_trials = false;
     while let Some(a) = it.next() {
         match a.as_str() {
             "--vertices" => {
                 args.vertices = it.next().and_then(|v| v.parse().ok()).expect("--vertices N");
-                saw_vertices = true;
+                args.saw_vertices = true;
             }
             "--trials" => {
                 args.trials = it.next().and_then(|v| v.parse().ok()).expect("--trials T");
@@ -78,7 +85,7 @@ fn parse_args() -> Args {
     }
     if args.full {
         // Paper-scale settings (still tractable on one core).
-        if !saw_vertices {
+        if !args.saw_vertices {
             args.vertices = 8000;
         }
         if !saw_trials {
@@ -86,6 +93,24 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// Network sizes for `storage-scaling`: the paper-scale list with
+/// `--full`; with `--vertices N`, sizes doubling up to N (up to 200 when
+/// N is smaller, so there are at least three, none below 50 vertices);
+/// otherwise the default list.
+fn storage_scaling_sizes(args: &Args) -> Vec<usize> {
+    if args.full {
+        return vec![1000, 2000, 4000, 8000, 16000, 32000];
+    }
+    if !args.saw_vertices {
+        return vec![500, 1000, 2000, 4000, 8000];
+    }
+    let top = args.vertices.max(200);
+    let mut sizes: Vec<usize> =
+        std::iter::successors(Some(top), |&n| Some(n / 2)).take_while(|&n| n >= 50).collect();
+    sizes.reverse();
+    sizes
 }
 
 fn main() {
@@ -108,12 +133,7 @@ fn main() {
         precompute::dijkstra_visits(4233, args.seed).print();
     }
     if wants("storage-scaling") {
-        let sizes: Vec<usize> = if args.full {
-            vec![1000, 2000, 4000, 8000, 16000, 32000]
-        } else {
-            vec![500, 1000, 2000, 4000, 8000]
-        };
-        precompute::storage_scaling(&sizes, 12, args.seed).print();
+        precompute::storage_scaling(&storage_scaling_sizes(&args), 12, args.seed).print();
     }
     if wants("pcp") {
         let seps: &[f64] = if args.full { &[2.0, 4.0, 8.0, 16.0] } else { &[2.0, 4.0, 8.0] };
@@ -217,4 +237,37 @@ fn main() {
     }
 
     println!("\n# done in {:.1}s", started.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(vertices: Option<usize>, full: bool) -> Args {
+        Args {
+            experiment: "storage-scaling".to_string(),
+            vertices: vertices.unwrap_or(4000),
+            trials: 1,
+            queries: 1,
+            seed: 1,
+            full,
+            saw_vertices: vertices.is_some(),
+        }
+    }
+
+    #[test]
+    fn storage_scaling_follows_the_vertices_flag() {
+        assert_eq!(storage_scaling_sizes(&args(None, false)), [500, 1000, 2000, 4000, 8000]);
+        let full = [1000, 2000, 4000, 8000, 16000, 32000];
+        assert_eq!(storage_scaling_sizes(&args(None, true)), full);
+        assert_eq!(storage_scaling_sizes(&args(Some(300), true)), full);
+        assert_eq!(storage_scaling_sizes(&args(Some(300), false)), [75, 150, 300]);
+        assert_eq!(storage_scaling_sizes(&args(Some(10), false)), [50, 100, 200]);
+        for n in [1, 120, 199, 200, 201, 999, 4000] {
+            let sizes = storage_scaling_sizes(&args(Some(n), false));
+            assert!(sizes.len() >= 3 && sizes[0] >= 50, "{n}: {sizes:?}");
+            assert!(sizes.windows(2).all(|w| w[1] == 2 * w[0] || w[1] == 2 * w[0] + 1));
+            assert_eq!(*sizes.last().unwrap(), n.max(200));
+        }
+    }
 }

@@ -59,8 +59,9 @@ pub trait DistanceBrowser {
     }
 
     /// Fallible [`Self::next_hop`]: a destination not covered by `u`'s
-    /// quadtree — impossible for a well-formed index — surfaces as
-    /// [`QueryError::Corrupt`] instead of a panic.
+    /// quadtree, or covered by the source's own block — impossible for a
+    /// well-formed index — surfaces as [`QueryError::Corrupt`] instead of a
+    /// panic or another vertex's edge.
     fn try_next_hop(
         &self,
         u: VertexId,
@@ -69,13 +70,15 @@ pub trait DistanceBrowser {
         if u == dest {
             return Ok(None);
         }
-        let Some(entry) = self.try_entry(u, self.vertex_code(dest))? else {
+        let entry = self.try_entry(u, self.vertex_code(dest))?;
+        let Some(entry) = entry.filter(|e| e.color != COLOR_SOURCE) else {
+            // Distinct vertices never share a cell, so the source's own
+            // block cannot hold `dest` in a well-formed index either.
             return Err(QueryError::Corrupt {
                 page: None,
-                detail: format!("quadtree of {u} does not cover destination {dest}"),
+                detail: format!("quadtree of {u} gives no first hop to destination {dest}"),
             });
         };
-        debug_assert_ne!(entry.color, COLOR_SOURCE, "distinct vertices share a cell");
         Ok(Some(self.network().out_edge(u, entry.color as usize)))
     }
 

@@ -59,6 +59,21 @@ impl From<std::io::Error> for BuildError {
     }
 }
 
+impl From<QueryError> for BuildError {
+    /// Lowers a failed lookup for the whole-path walks of [`crate::path`],
+    /// which report through `BuildError`: corruption stays corruption
+    /// (naming its page when known), anything else is I/O.
+    fn from(e: QueryError) -> Self {
+        match e {
+            QueryError::Io(e) => BuildError::Io(e),
+            QueryError::Corrupt { page: Some(p), detail } => {
+                BuildError::Corrupt(format!("page {p}: {detail}"))
+            }
+            QueryError::Corrupt { page: None, detail } => BuildError::Corrupt(detail),
+        }
+    }
+}
+
 /// Why a query against a disk-resident index could not complete.
 ///
 /// Raised by the fallible (`try_*`) lookup path: transient store faults

@@ -46,7 +46,7 @@
 //!
 //! The row payload is raw `f64` (exactness forbids narrowing); the
 //! delta+varint coding covers the structural metadata, same discipline as
-//! the SILCIDX3 directory and the PCP v4 pair groups. Rows are served
+//! the PCP v4 pair groups. Rows are served
 //! through a [`TieredPool`] — decoded rows cache as `Arc<[f64]>`, row
 //! scans run with readahead on (the cold frontier-graph load at engine
 //! start reads the whole region sequentially, the workload

@@ -39,7 +39,7 @@
 //! | [`mbr_baseline`] | the rejected R-tree-style MBR storage design (ablation A1) |
 //!
 //! The disk-resident forms are built for disks that misbehave: page files
-//! carry per-page checksums (format `SILCIDX3`, the only one read),
+//! carry per-page checksums (format `SILCIDX4`, the only one read),
 //! transient read failures are retried inside the buffer pool, and every
 //! surviving fault surfaces as a typed [`QueryError`] — corruption names
 //! the poisoned page — through `try_`-prefixed fallible twins of the query

@@ -260,8 +260,7 @@ impl PartitionedSilcIndex {
             let store = silc_storage::FilePageStore::open(&path)
                 .map_err(|e| wrap_err(BuildError::Io(e)))?;
             let local = Arc::clone(shard.network_arc());
-            let cache = silc_storage::default_decoded_capacity(local.vertex_count());
-            let disk = DiskSilcIndex::from_store(wrap(s, store), local, cfg.cache_fraction, cache)
+            let disk = DiskSilcIndex::open_store(wrap(s, store), local, cfg.cache_fraction)
                 .map_err(wrap_err)?;
             shard_bytes.push(fs::metadata(&path)?.len());
             shards.push(Arc::new(disk));
@@ -409,8 +408,8 @@ impl PartitionedSilcIndex {
         }
     }
 
-    /// Drops every shard's cached pages and decoded entries, and the
-    /// tier's cached rows (cold start).
+    /// Drops every shard's cached pages and the tier's cached rows (cold
+    /// start).
     pub fn clear_caches(&self) {
         for shard in &self.shards {
             shard.clear_cache();

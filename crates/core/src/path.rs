@@ -31,7 +31,8 @@ impl SilcPath {
 ///
 /// Fails with [`BuildError::Corrupt`] if the walk does not reach `d` within
 /// `n` hops, which can only happen when the index does not belong to this
-/// network.
+/// network, and with the lifted [`crate::QueryError`] when a lookup fails
+/// (a corrupt record or page, a store fault).
 pub fn shortest_path<B: DistanceBrowser + ?Sized>(
     b: &B,
     s: VertexId,
@@ -44,7 +45,7 @@ pub fn shortest_path<B: DistanceBrowser + ?Sized>(
     let mut distance = 0.0;
     while cur != d {
         let (next, w) = b
-            .next_hop(cur, d)
+            .try_next_hop(cur, d)?
             .ok_or_else(|| BuildError::Corrupt("next_hop returned None before target".into()))?;
         distance += w;
         cur = next;
@@ -74,7 +75,7 @@ pub fn network_distance<B: DistanceBrowser + ?Sized>(
     let mut hops = 0usize;
     while cur != d {
         let (next, w) = b
-            .next_hop(cur, d)
+            .try_next_hop(cur, d)?
             .ok_or_else(|| BuildError::Corrupt("next_hop returned None before target".into()))?;
         distance += w;
         cur = next;

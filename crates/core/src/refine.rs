@@ -22,6 +22,7 @@
 use crate::browser::DistanceBrowser;
 use crate::error::QueryError;
 use crate::interval::DistInterval;
+use crate::sp_quadtree::COLOR_SOURCE;
 use silc_network::VertexId;
 use std::cmp::Ordering;
 
@@ -43,9 +44,9 @@ pub struct RefinableDistance {
     refinements: usize,
     /// Colour (out-edge slot of `cur`) of the block of `cur`'s quadtree
     /// that holds `target`, from the lookup that produced `interval`.
-    /// `None` when `cur == target` or no block covers the target; the next
-    /// step then asks [`DistanceBrowser::try_next_hop`], which reports an
-    /// uncovered destination as corruption.
+    /// `None` when `cur == target` or no block but the source's own covers
+    /// the target; the next step then asks
+    /// [`DistanceBrowser::try_next_hop`], which reports that as corruption.
     color: Option<u16>,
 }
 
@@ -62,7 +63,9 @@ fn lookup<B: DistanceBrowser + ?Sized>(
     }
     let euclid = b.network().euclidean(u, target);
     Ok(match b.try_entry(u, b.vertex_code(target))? {
-        Some(e) => (e.interval(euclid), Some(e.color)),
+        // The source's own block has no first hop: leave it to
+        // `try_next_hop`, which reports it as corruption.
+        Some(e) => (e.interval(euclid), Some(e.color).filter(|&c| c != COLOR_SOURCE)),
         None => (DistInterval::new(b.global_min_ratio() * euclid, f64::INFINITY), None),
     })
 }
@@ -143,10 +146,7 @@ impl RefinableDistance {
             return Ok(false);
         }
         let hop = match self.color {
-            Some(color) => {
-                debug_assert_ne!(color, crate::sp_quadtree::COLOR_SOURCE);
-                Some(b.network().out_edge(self.cur, color as usize))
-            }
+            Some(color) => Some(b.network().out_edge(self.cur, color as usize)),
             None => b.try_next_hop(self.cur, self.target)?,
         };
         let Some((next, w)) = hop else {

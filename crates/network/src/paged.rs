@@ -73,6 +73,10 @@ pub struct PagedNetwork {
 impl PagedNetwork {
     /// Opens a paged network file with a buffer pool holding
     /// `cache_fraction` of its pages (the paper uses 0.05).
+    ///
+    /// The header's counts are checked against the file length before
+    /// anything they size is allocated, and the offset table must be
+    /// monotone, so every adjacency read stays inside the edge region.
     pub fn open<P: AsRef<Path>>(path: P, cache_fraction: f64) -> io::Result<Self> {
         let store = FilePageStore::open(&path)?;
         let fail = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -90,7 +94,8 @@ impl PagedNetwork {
             Ok(out)
         };
         let header_len = 8 + 4 + 4 + 8;
-        if (store.page_count() as usize) * PAGE_SIZE < header_len {
+        let file_len = store.page_count() * PAGE_SIZE as u64;
+        if file_len < header_len as u64 {
             return Err(fail("file too small"));
         }
         let header = read_bytes(0, header_len)?;
@@ -100,12 +105,21 @@ impl PagedNetwork {
         if &magic != MAGIC {
             return Err(fail("bad magic"));
         }
-        let n = h.get_u32_le() as usize;
-        let m = h.get_u32_le() as usize;
+        let n = h.get_u32_le() as u64;
+        let m = h.get_u32_le() as u64;
         let edges_base = h.get_u64_le();
-        if edges_base + (m * EDGE_BYTES) as u64 > store.page_count() * PAGE_SIZE as u64 {
+        // Bound n and m by the file before allocating anything they size.
+        let meta_len = header_len as u64 + n * 16 + (n + 1) * 4;
+        if meta_len > file_len {
+            return Err(fail("vertex directory extends past end of file"));
+        }
+        if edges_base != meta_len {
+            return Err(fail("edge region does not follow the vertex directory"));
+        }
+        if edges_base.checked_add(m * EDGE_BYTES as u64).is_none_or(|end| end > file_len) {
             return Err(fail("edge region extends past end of file"));
         }
+        let n = n as usize;
         let meta = read_bytes(header_len, n * 16 + (n + 1) * 4)?;
         let mut r = &meta[..];
         let mut positions = Vec::with_capacity(n);
@@ -116,7 +130,10 @@ impl PagedNetwork {
         for _ in 0..=n {
             offsets.push(r.get_u32_le());
         }
-        if offsets[n] as usize != m {
+        if !offsets.is_sorted() {
+            return Err(fail("offset table is not monotone"));
+        }
+        if offsets[n] as u64 != m {
             return Err(fail("offset table does not match edge count"));
         }
         let pool = BufferPool::with_fraction(store, cache_fraction);
@@ -144,8 +161,10 @@ impl PagedNetwork {
         self.try_out_edges(v, out).unwrap_or_else(|e| panic!("network page read failed: {e}"))
     }
 
-    /// Fallible adjacency read: I/O trouble comes back as the error (the
-    /// scratch vector is then left cleared, holding no partial list).
+    /// Fallible adjacency read: I/O trouble, or a record whose target is no
+    /// vertex or whose weight is not a finite non-negative number, comes
+    /// back as the error (the scratch vector is then left cleared, holding
+    /// no partial list).
     pub fn try_out_edges(&self, v: VertexId, out: &mut Vec<(VertexId, f64)>) -> io::Result<()> {
         out.clear();
         let start = self.offsets[v.index()] as u64;
@@ -169,6 +188,13 @@ impl PagedNetwork {
         for _ in start..end {
             let target = r.get_u32_le();
             let weight = r.get_f64_le();
+            if target as usize >= self.positions.len() || !(weight.is_finite() && weight >= 0.0) {
+                out.clear();
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("edge of {v} to {target} with weight {weight} is out of range"),
+                ));
+            }
             out.push((VertexId(target), weight));
         }
         Ok(())
@@ -194,6 +220,7 @@ impl PagedNetwork {
 mod tests {
     use super::*;
     use crate::generate::{road_network, RoadConfig};
+    use crate::SpatialNetwork;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("silc-paged-tests");
@@ -238,6 +265,72 @@ mod tests {
             p.out_edges(v, &mut buf);
         }
         assert!(p.io_stats().misses > 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A written 50-vertex file and its bytes.
+    fn fifty(name: &str) -> (SpatialNetwork, std::path::PathBuf, Vec<u8>) {
+        let g = road_network(&RoadConfig { vertices: 50, seed: 6, ..Default::default() });
+        let path = tmp(name);
+        write_paged(&g, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (g, path, bytes)
+    }
+
+    /// Every adjacency list of an opened network, read without panicking.
+    fn read_all(p: &PagedNetwork) -> io::Result<()> {
+        let mut buf = Vec::new();
+        (0..p.vertex_count() as u32).try_for_each(|v| p.try_out_edges(VertexId(v), &mut buf))
+    }
+
+    #[test]
+    fn non_monotone_offsets_are_refused_at_open() {
+        let (g, path, mut bytes) = fifty("monotone.pnet");
+        let offsets = 24 + 16 * g.vertex_count();
+        let at = |v: usize| offsets + 4 * v;
+        let third = u32::from_le_bytes(bytes[at(2)..at(2) + 4].try_into().unwrap());
+        bytes[at(1)..at(1) + 4].copy_from_slice(&(third + 1).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match PagedNetwork::open(&path, 1.0) {
+            Err(e) => assert!(e.to_string().contains("not monotone"), "{e}"),
+            Ok(p) => panic!("opened; reading v1 gives {:?}", read_all(&p)),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_header_words_are_typed_errors_not_panics() {
+        let (_, path, bytes) = fifty("hostile.pnet");
+        for (at, width) in [(8usize, 4usize), (12, 4), (16, 8)] {
+            for word in [0u64, 1, 7, u32::MAX as u64 / 20, u32::MAX as u64, u64::MAX] {
+                let mut data = bytes.clone();
+                data[at..at + width].copy_from_slice(&word.to_le_bytes()[..width]);
+                std::fs::write(&path, &data).unwrap();
+                // Refused, or opened with every list readable or typed.
+                if let Ok(p) = PagedNetwork::open(&path, 1.0) {
+                    if let Err(e) = read_all(&p) {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_range_edge_records_are_typed_errors() {
+        let (g, path, bytes) = fifty("records.pnet");
+        let edges = 24 + 16 * g.vertex_count() + 4 * (g.vertex_count() + 1);
+        for (off, field) in
+            [(0, 50u32.to_le_bytes().to_vec()), (4, f64::NAN.to_le_bytes().to_vec())]
+        {
+            let mut data = bytes.clone();
+            data[edges + off..edges + off + field.len()].copy_from_slice(&field);
+            std::fs::write(&path, &data).unwrap();
+            let p = PagedNetwork::open(&path, 1.0).unwrap();
+            let e = read_all(&p).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -50,8 +50,8 @@
 //! and is `Send + Sync`: clone it into every worker thread and open one
 //! [`QuerySession`] per worker. Results from session methods are borrowed
 //! from the session's buffers and are bit-identical to the one-shot
-//! wrappers (locked by tests). Paired with the sharded buffer pool and the
-//! decoded-entries cache of `DiskSilcIndex`, this is the crate's concurrent
+//! wrappers (locked by tests). Paired with the sharded buffer pool of
+//! `DiskSilcIndex`, this is the crate's concurrent
 //! query-serving architecture; the repository benchmark's `local_warm` and
 //! `local_cold` workloads (`benchmark/`) measure it end to end.
 //!

@@ -1,7 +1,7 @@
 //! A sharded LRU cache for decoded objects.
 //!
 //! [`crate::BufferPool`] caches raw pages; anything built *from* those pages
-//! (decoded entry lists, parsed adjacency blocks, …) is re-materialized on
+//! (decoded pair groups, frontier rows, …) is re-materialized on
 //! every lookup unless it is cached too. [`ShardedCache`] is that second
 //! level: a concurrent, fixed-capacity LRU map from `u64` keys to clonable
 //! values, sharded like the pool so parallel readers rarely contend.

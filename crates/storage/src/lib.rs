@@ -15,12 +15,15 @@
 //!   [`MAX_COALESCED_PAGES`] pages) and an opt-in [`PrefetchPolicy`]
 //!   extends them with sequential readahead, accounted exactly
 //!   ([`IoStats::prefetched`] / [`IoStats::prefetch_hits`]),
-//! * [`varint`] — canonical LEB128 varints and zigzag, the shared encoding
-//!   layer of the compressed on-disk formats (`SILCIDX3`, PCP v4),
+//! * [`varint`] — canonical LEB128 varints and zigzag: PCP v4's pair
+//!   groups and the frontier tier's metadata (`SILCFDT1`); since
+//!   `SILCIDX4` the SILC index stores fixed-width records instead,
 //! * [`ShardedCache`] — a generic concurrent LRU for objects *decoded* from
-//!   pages (entry lists, adjacency blocks), sharing the pool's LRU core,
+//!   pages (pair groups, frontier rows), sharing the pool's LRU core,
 //! * [`TieredPool`] — a pool paired with a decoded-object cache, the
-//!   stats/reset/clear plumbing every disk-resident index shares,
+//!   stats/reset/clear plumbing of the disk structures that decode (the
+//!   PCP oracle, the frontier tier); the SILC index searches pooled pages
+//!   in place and uses a bare [`BufferPool`],
 //! * [`ChecksumTable`] — per-page digests (8-lane FNV-1a) the pool verifies on
 //!   every physical read, so bit rot surfaces as a typed error naming the
 //!   page ([`PageCorrupt`]) instead of a silently wrong answer; every

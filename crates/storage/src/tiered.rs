@@ -1,13 +1,13 @@
-//! The two-tier read path every disk-resident index shares.
+//! The two-tier read path of the disk structures that decode.
 //!
-//! A disk index serves a lookup in three tiers: a cache of objects already
-//! *decoded* from page bytes (no page access, no decode), then the page
-//! [`BufferPool`] (decode from cached bytes), then the store itself. The
-//! first disk index (`DiskSilcIndex`) hand-rolled the pairing of pool and
-//! decoded-object cache — the hit/miss accounting, the combined
-//! reset/clear plumbing, the sized-cache constructors; [`TieredPool`] is
-//! that plumbing extracted once, so every further disk structure (the PCP
-//! oracle, paged adjacency, …) gets identical semantics for free.
+//! A disk structure whose records must be decoded before use serves a
+//! lookup in three tiers: a cache of objects already *decoded* from page
+//! bytes (no page access, no decode), then the page [`BufferPool`] (decode
+//! from cached bytes), then the store itself. [`TieredPool`] is that
+//! pairing — the hit/miss accounting, the combined reset/clear plumbing,
+//! the sized-cache constructors — written once for the PCP oracle and the
+//! frontier tier. (The SILC index, which searches its pooled pages in
+//! place, reads a bare [`BufferPool`].)
 
 use crate::cache::{CacheStats, ShardedCache};
 use crate::checksum::ChecksumTable;

@@ -1,9 +1,11 @@
 //! LEB128 varints and zigzag, shared by the compressed on-disk formats.
 //!
-//! The compressed SILC index (`SILCIDX3`) and PCP pair format (v4) both
+//! The PCP pair format (v4) and the frontier tier's metadata (`SILCFDT1`)
 //! store sorted id sequences as deltas; a delta is almost always tiny, so
 //! unsigned LEB128 turns an 8-byte field into (usually) one byte. This
-//! module is the single implementation both formats decode through.
+//! module is the single implementation both formats decode through. (The
+//! SILC index stored its records this way until `SILCIDX4`, which keeps
+//! them fixed-width so a lookup can search them in the pooled page.)
 //!
 //! Decoding is **canonical**: every value has exactly one accepted
 //! encoding. A varint whose last byte is zero (except the single-byte

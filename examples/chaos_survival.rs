@@ -57,13 +57,8 @@ fn main() {
     let rates = FaultRates { transient: 0.03, permanent: 0.0, bit_flip: 0.01, torn: 0.01 };
     let store = FaultInjectingPageStore::seeded(FilePageStore::open(&path).unwrap(), 0xC405, rates);
     let store = Arc::new(store);
-    let faulty = DiskSilcIndex::from_store(
-        Box::new(Arc::clone(&store)),
-        network.clone(),
-        0.25,
-        silc_storage::default_decoded_capacity(n),
-    )
-    .unwrap();
+    let faulty =
+        DiskSilcIndex::open_store(Box::new(Arc::clone(&store)), network.clone(), 0.25).unwrap();
     let faulty = Arc::new(faulty);
     let engine = QueryEngine::new(Arc::clone(&faulty), cafes.clone());
     let mut session = engine.session();

@@ -3,7 +3,7 @@
 //! The paper's framing (§6, p.32): each query is cheap — a handful of page
 //! reads through a shared cache — precisely so that a *server* can answer
 //! huge numbers of them. This walkthrough is that server in miniature:
-//! one `Arc<DiskSilcIndex>` (sharded buffer pool + decoded-entries cache)
+//! one `Arc<DiskSilcIndex>` (sharded buffer pool, searched in place)
 //! shared by N worker threads, each running back-to-back kNN queries
 //! through its own `QuerySession` (reusable workspaces, zero steady-state
 //! allocations), then the aggregate throughput and cache behaviour.
@@ -74,7 +74,6 @@ fn main() {
 
     let total = workers * queries_per_worker;
     let io = disk.io_stats();
-    let cache = disk.entry_cache_stats();
     println!(
         "\n  {total} queries answered in {elapsed:.2}s = {:.0} QPS aggregate",
         total as f64 / elapsed
@@ -84,11 +83,6 @@ fn main() {
         "  page pool:     {:>8} requests, hit rate {:.1}%",
         io.requests(),
         io.hit_rate() * 100.0
-    );
-    println!(
-        "  entry cache:   {:>8} lookups,  hit rate {:.1}%",
-        cache.requests(),
-        cache.hit_rate() * 100.0
     );
     println!(
         "  disk traffic:  {:>8} pages read ({:.1} KiB)",

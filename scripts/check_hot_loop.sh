@@ -1,13 +1,14 @@
 #!/bin/sh
-# Hot-loop gate: the kNN/INN loop and the refinement step read no clock and
-# hash nothing. Fails when `Instant`, `SystemTime` or `HashMap` appears in
-# the non-test part (everything above the first `#[cfg(test)]`) of the
-# files below. Timing belongs to the callers; per-object state is a table
-# indexed by object id.
+# Hot-loop gate: the kNN/INN loop, the refinement step and the disk index's
+# lookup read no clock and hash nothing. Fails when `Instant`, `SystemTime`
+# or `HashMap` appears in the non-test part (everything above the first
+# `#[cfg(test)]`) of the files below. Timing belongs to the callers;
+# per-object state is a table indexed by object id, per-vertex state a
+# directory indexed by vertex id.
 set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-files="crates/query/src/knn.rs crates/core/src/refine.rs"
+files="crates/query/src/knn.rs crates/core/src/refine.rs crates/core/src/disk.rs"
 
 status=0
 for rel in $files; do

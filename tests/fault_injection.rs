@@ -90,8 +90,7 @@ fn scripted_transient_fault_is_retried_with_exact_counters() {
         inner: MemPageStore::new(&bytes),
         reads: std::sync::atomic::AtomicU64::new(0),
     });
-    let disk =
-        DiskSilcIndex::from_store(Box::new(Arc::clone(&counter)), g.clone(), 1.0, 64).unwrap();
+    let disk = DiskSilcIndex::open_store(Box::new(Arc::clone(&counter)), g.clone(), 1.0).unwrap();
     let open_reads = counter.reads.load(std::sync::atomic::Ordering::Relaxed);
 
     // Fault-free reference answer.
@@ -103,8 +102,7 @@ fn scripted_transient_fault_is_retried_with_exact_counters() {
     let script: Vec<Option<FaultKind>> =
         (0..open_reads).map(|_| None).chain([Some(FaultKind::Transient)]).collect();
     let injector = Arc::new(FaultInjectingPageStore::scripted(MemPageStore::new(&bytes), script));
-    let disk =
-        DiskSilcIndex::from_store(Box::new(Arc::clone(&injector)), g.clone(), 1.0, 64).unwrap();
+    let disk = DiskSilcIndex::open_store(Box::new(Arc::clone(&injector)), g.clone(), 1.0).unwrap();
     let disk = Arc::new(disk);
     let engine = QueryEngine::new(Arc::clone(&disk), objects.clone());
     let got = engine.session().try_knn(VertexId(9), 5, KnnVariant::Basic).unwrap().clone();
@@ -123,8 +121,7 @@ fn torn_reads_are_retried_like_transients() {
         inner: MemPageStore::new(&bytes),
         reads: std::sync::atomic::AtomicU64::new(0),
     });
-    let disk =
-        DiskSilcIndex::from_store(Box::new(Arc::clone(&counter)), g.clone(), 1.0, 64).unwrap();
+    let disk = DiskSilcIndex::open_store(Box::new(Arc::clone(&counter)), g.clone(), 1.0).unwrap();
     let open_reads = counter.reads.load(std::sync::atomic::Ordering::Relaxed);
     let engine = QueryEngine::new(Arc::new(disk), objects.clone());
     let reference = engine.session().try_knn(VertexId(31), 4, KnnVariant::MinDist).unwrap().clone();
@@ -133,7 +130,7 @@ fn torn_reads_are_retried_like_transients() {
         (0..open_reads).map(|_| None).chain([Some(FaultKind::Torn)]).collect();
     let injector = Arc::new(FaultInjectingPageStore::scripted(MemPageStore::new(&bytes), script));
     let disk = Arc::new(
-        DiskSilcIndex::from_store(Box::new(Arc::clone(&injector)), g.clone(), 1.0, 64).unwrap(),
+        DiskSilcIndex::open_store(Box::new(Arc::clone(&injector)), g.clone(), 1.0).unwrap(),
     );
     let engine = QueryEngine::new(Arc::clone(&disk), objects.clone());
     let got = engine.session().try_knn(VertexId(31), 4, KnnVariant::MinDist).unwrap().clone();
@@ -152,7 +149,7 @@ fn seeded_matrix_disk_knn_is_never_silently_wrong() {
 
     // Fault-free reference answers.
     let clean = Arc::new(
-        DiskSilcIndex::from_store(Box::new(MemPageStore::new(&bytes)), g.clone(), 0.3, 16).unwrap(),
+        DiskSilcIndex::open_store(Box::new(MemPageStore::new(&bytes)), g.clone(), 0.3).unwrap(),
     );
     let clean_engine = QueryEngine::new(clean, objects.clone());
     let mut clean_session = clean_engine.session();
@@ -167,7 +164,7 @@ fn seeded_matrix_disk_knn_is_never_silently_wrong() {
     for seed in 0..24u64 {
         let injector = FaultInjectingPageStore::seeded(MemPageStore::new(&bytes), seed, rates);
         // A fault during open is itself a legal typed-error outcome.
-        let Ok(disk) = DiskSilcIndex::from_store(Box::new(injector), g.clone(), 0.3, 16) else {
+        let Ok(disk) = DiskSilcIndex::open_store(Box::new(injector), g.clone(), 0.3) else {
             errs += 1;
             continue;
         };
@@ -417,7 +414,7 @@ proptest! {
     ) {
         let (g, objects, bytes) = fixture();
         let clean = Arc::new(
-            DiskSilcIndex::from_store(Box::new(MemPageStore::new(&bytes)), g.clone(), 0.3, 16)
+            DiskSilcIndex::open_store(Box::new(MemPageStore::new(&bytes)), g.clone(), 0.3)
                 .unwrap(),
         );
         let clean_engine = QueryEngine::new(clean, objects.clone());
@@ -425,7 +422,7 @@ proptest! {
 
         let rates = FaultRates { transient, permanent: 0.005, bit_flip, torn };
         let injector = FaultInjectingPageStore::seeded(MemPageStore::new(&bytes), seed, rates);
-        if let Ok(disk) = DiskSilcIndex::from_store(Box::new(injector), g.clone(), 0.3, 16) {
+        if let Ok(disk) = DiskSilcIndex::open_store(Box::new(injector), g.clone(), 0.3) {
             let engine = QueryEngine::new(Arc::new(disk), objects.clone());
             let mut session = engine.session();
             for q in [VertexId(seed as u32 % 150), VertexId((seed as u32 * 7 + 3) % 150)] {

@@ -1,8 +1,8 @@
 //! Proptest law: the on-disk formats answer bit-identically to memory, and
 //! their writers reproduce committed images byte for byte.
 //!
-//! Each paged artifact has one format — `SILCIDX3`, PCP version 4 and
-//! `SILCFDT1` — and compression must be a *pure* representation change: no
+//! Each paged artifact has one format — `SILCIDX4`, PCP version 4 and
+//! `SILCFDT1` — and encoding must be a *pure* representation change: no
 //! query may be able to tell a disk image from the structure it was
 //! encoded from. On random road networks this locks, per case:
 //!
@@ -14,16 +14,16 @@
 //!   any order. The same image re-laid in vertex-id order (what the writer
 //!   produced before the clustering) answers `try_entry`, `try_min_lambda`
 //!   and kNN bit-identically, monolithic and as the shards of a
-//!   partitioned directory; a committed image from before the change still
-//!   opens; and on a network whose ids are random in space the clustered
-//!   image does at most half the physical page reads;
+//!   partitioned directory; the committed image re-laid that way opens;
+//!   and on a network whose ids are random in space the clustered image
+//!   does at most half the physical page reads;
 //! * **PCP**: the encoded oracle answers `distance_with_epsilon` — distance
 //!   *and* per-pair cap — bit-identically to the memory oracle, and its
 //!   pair region is strictly smaller than fixed 28-byte records whenever it
 //!   stores any pairs (so a silent fallback to fixed-width encoding cannot
 //!   hide behind the identity law);
-//! * **writers**: today's PCP and frontier-tier writers emit exactly the
-//!   committed fixture images.
+//! * **writers**: today's SILC, PCP and frontier-tier writers emit exactly
+//!   the committed fixture images.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,40 +39,47 @@ use silc_network::{SpatialNetwork, VertexId};
 use silc_pcp::{DiskDistanceOracle, DistanceOracle};
 use silc_query::{KnnVariant, ObjectSet, PartitionedEngine, QueryEngine};
 use silc_storage::checksum::seal;
-use silc_storage::{FilePageStore, MemPageStore};
+use silc_storage::{FilePageStore, MemPageStore, PAGE_SIZE};
 use std::sync::Arc;
 
-/// Re-lays a `SILCIDX3` image with its record spans in vertex-id order and
-/// re-seals it: byte for byte what the writer produced
-/// before it clustered the spans along the Morton curve (the committed
-/// fixture below pins that). The records themselves are copied untouched.
+/// Re-lays a `SILCIDX4` image with its record spans in vertex-id order,
+/// padded by the writer's page rule, and re-seals it: byte for byte what
+/// the writer would produce if it did not cluster the spans along the
+/// Morton curve. The records themselves are copied untouched.
 fn id_ordered(image: &[u8]) -> Vec<u8> {
+    const RECORD_BYTES: usize = 15;
     let u64_at = |off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap()) as usize;
-    assert_eq!(&image[..8], b"SILCIDX3");
-    let n = u32::from_le_bytes(image[8..12].try_into().unwrap()) as usize;
-    let (entries_base, entries_len) = (u64_at(56), u64_at(64));
+    let u32_at = |off: usize| u32::from_le_bytes(image[off..off + 4].try_into().unwrap()) as usize;
+    assert_eq!(&image[..8], b"SILCIDX4");
+    let n = u32_at(8);
+    let entries_base = u64_at(56);
     let directory = 80 + 8 * n;
-    let starts: Vec<usize> = (0..n).map(|v| u64_at(directory + 12 * v)).collect();
-    let mut sorted = starts.clone();
-    sorted.push(entries_len);
-    sorted.sort_unstable();
 
     let mut out = image[..entries_base].to_vec();
-    for (v, &start) in starts.iter().enumerate() {
-        // A span ends where the next one (by offset) starts.
-        let end = sorted[sorted.partition_point(|&s| s <= start)];
+    for v in 0..n {
+        let (start, len) =
+            (u64_at(directory + 12 * v), RECORD_BYTES * u32_at(directory + 12 * v + 8));
+        // The writer's rule: a span that would cross a page boundary
+        // starts on the next one instead.
+        let into_page = out.len() % PAGE_SIZE;
+        if into_page != 0 && into_page + len > PAGE_SIZE {
+            out.resize(out.len() + PAGE_SIZE - into_page, 0);
+        }
         let new_start = (out.len() - entries_base) as u64;
         out[directory + 12 * v..directory + 12 * v + 8].copy_from_slice(&new_start.to_le_bytes());
-        out.extend_from_slice(&image[entries_base + start..entries_base + end]);
+        out.extend_from_slice(&image[entries_base + start..entries_base + start + len]);
     }
-    assert_eq!(out.len(), entries_base + entries_len, "spans must tile the entry region");
+    let entries_len = (out.len() - entries_base) as u64;
+    out[64..72].copy_from_slice(&entries_len.to_le_bytes());
+    let cksum_base = out.len().div_ceil(PAGE_SIZE) * PAGE_SIZE;
+    out[72..80].copy_from_slice(&(cksum_base as u64).to_le_bytes());
     seal(&mut out);
     out
 }
 
-fn open_mem(image: &[u8], g: &Arc<SpatialNetwork>, pool: f64, cache: usize) -> Arc<DiskSilcIndex> {
+fn open_mem(image: &[u8], g: &Arc<SpatialNetwork>, pool: f64) -> Arc<DiskSilcIndex> {
     let store = Box::new(MemPageStore::new(image));
-    Arc::new(DiskSilcIndex::from_store(store, g.clone(), pool, cache).unwrap())
+    Arc::new(DiskSilcIndex::open_store(store, g.clone(), pool).unwrap())
 }
 
 /// One kNN answer as comparable bits.
@@ -100,7 +107,7 @@ proptest! {
             SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 1 }).unwrap();
 
         let image = encode_index(&idx);
-        let disks = [open_mem(&image, &g, 0.5, 8), open_mem(&id_ordered(&image), &g, 0.5, 8)];
+        let disks = [open_mem(&image, &g, 0.5), open_mem(&id_ordered(&image), &g, 0.5)];
 
         let n = g.vertex_count() as u32;
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF0_F0);
@@ -132,9 +139,8 @@ proptest! {
             SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 1 }).unwrap();
         let clustered = encode_index(&idx);
         let by_id = id_ordered(&clustered);
-        prop_assert_eq!(clustered.len(), by_id.len());
         prop_assert!(clustered != by_id, "road-network ids are not in Morton order");
-        let disks = [open_mem(&clustered, &g, 0.5, 8), open_mem(&by_id, &g, 0.5, 8)];
+        let disks = [open_mem(&clustered, &g, 0.5), open_mem(&by_id, &g, 0.5)];
 
         // Monolithic: every lookup the query layer makes, then kNN itself.
         let n = g.vertex_count() as u32;
@@ -182,7 +188,7 @@ proptest! {
         for file in std::fs::read_dir(&dir_clustered).unwrap() {
             let file = file.unwrap();
             let bytes = std::fs::read(file.path()).unwrap();
-            let bytes = if bytes.starts_with(b"SILCIDX3") { id_ordered(&bytes) } else { bytes };
+            let bytes = if bytes.starts_with(b"SILCIDX4") { id_ordered(&bytes) } else { bytes };
             FilePageStore::create(dir_by_id.join(file.file_name()), &bytes).unwrap();
         }
         let reopened = PartitionedSilcIndex::open_dir(g.clone(), &dir_by_id, &cfg).unwrap();
@@ -200,29 +206,44 @@ proptest! {
     }
 }
 
-/// The fixture is `encode_index` of the index below as the parent of the
-/// Morton-layout change wrote it: spans in vertex-id order. Regenerate it
-/// (with `id_ordered`) only if the network generator or the index builder
+/// The fixture is `encode_index` of the index below: it pins the writer's
+/// bytes. Regenerate it only if the network generator or the index builder
 /// deliberately changes what this index contains.
 #[test]
-fn id_ordered_image_from_before_the_morton_layout_still_opens() {
-    let fixture: &[u8] = include_bytes!("fixtures/silcidx3_id_order.bin");
+fn silc_writer_reproduces_the_committed_silcidx4_fixture() {
+    let fixture: &[u8] = include_bytes!("fixtures/silcidx4.bin");
     let g = Arc::new(road_network(&RoadConfig { vertices: 40, seed: 7, ..Default::default() }));
     let idx = SilcIndex::build(g.clone(), &BuildConfig { grid_exponent: 8, threads: 1 }).unwrap();
-    let old = open_mem(fixture, &g, 0.5, 8);
+    assert!(encode_index(&idx) == fixture, "writer output drifted from the fixture");
+    let disk = open_mem(fixture, &g, 0.5);
     for u in g.vertices() {
         for v in g.vertices() {
-            let (got, want) = (network_distance(&*old, u, v), network_distance(&idx, u, v));
+            let (got, want) = (network_distance(&*disk, u, v), network_distance(&idx, u, v));
             assert_eq!(got.unwrap().to_bits(), want.unwrap().to_bits(), "{u}->{v}");
         }
     }
-    // Same records, same bytes, different order: today's writer differs
-    // from the pre-change one by the span permutation alone.
-    assert!(id_ordered(&encode_index(&idx)) == fixture, "writer output drifted from the fixture");
+}
+
+/// The layout the writer used before it clustered spans along the Morton
+/// curve — spans in vertex-id order — still opens, and answers exactly as
+/// the committed clustered image does.
+#[test]
+fn id_ordered_image_from_before_the_morton_layout_still_opens() {
+    let fixture: &[u8] = include_bytes!("fixtures/silcidx4.bin");
+    let g = Arc::new(road_network(&RoadConfig { vertices: 40, seed: 7, ..Default::default() }));
+    let by_id = id_ordered(fixture);
+    assert!(by_id != fixture, "road-network ids are not in Morton order");
+    let (clustered, old) = (open_mem(fixture, &g, 0.5), open_mem(&by_id, &g, 0.5));
+    for u in g.vertices() {
+        for v in g.vertices() {
+            let (got, want) = (network_distance(&*old, u, v), network_distance(&*clustered, u, v));
+            assert_eq!(got.unwrap().to_bits(), want.unwrap().to_bits(), "{u}->{v}");
+        }
+    }
 }
 
 /// Counters, not clocks: the benchmark's `local_cold` shape (2 % pool,
-/// 32-entry cache, k = 10) on a road network, whose ids are random in
+/// k = 10) on a road network, whose ids are random in
 /// space. Clustering must at least halve the physical page reads of a fixed
 /// kNN stream — deterministic, so the locality gain cannot silently rot.
 #[test]
@@ -233,7 +254,7 @@ fn clustered_spans_halve_physical_reads_on_a_cold_pool() {
     let objects = Arc::new(ObjectSet::random(&g, 0.05, 11));
     let clustered = encode_index(&idx);
     let pages_read = |image: &[u8]| {
-        let disk = open_mem(image, &g, 0.02, 32);
+        let disk = open_mem(image, &g, 0.02);
         let mut session = QueryEngine::new(disk.clone(), objects.clone()).session();
         let answers: Vec<_> = (0..queries)
             .map(|i| knn_bits(&mut session, VertexId(((i * 7919) % n) as u32), 10))

@@ -2,10 +2,9 @@
 //! workspaces have grown to a workload's steady-state size, re-running a
 //! query performs **zero** heap allocations — the hot path is pure reuse.
 //!
-//! The same counter locks the disk read path's contract: an entry-cache
-//! miss served from pooled pages allocates the decoded list and nothing
-//! else — and the serving tier's: encoding a reply into a buffer that has
-//! held one before allocates nothing.
+//! The same counter locks the disk read path's contract: a lookup served
+//! from pooled pages allocates nothing — and the serving tier's: encoding a
+//! reply into a buffer that has held one before allocates nothing.
 //!
 //! The whole test binary runs under a counting global allocator with
 //! per-thread counters (so the harness's own threads cannot contaminate a
@@ -209,28 +208,32 @@ fn one_shot_wrappers_do_allocate() {
 }
 
 #[test]
-fn entry_cache_miss_on_pooled_pages_allocates_only_the_entry_list() {
-    // A one-vertex entry cache under a pool holding the whole file: every
-    // lookup re-decodes its vertex's span from pooled pages. Once the
-    // per-thread raw-span scratch has grown, the decoded `Arc<[BlockEntry]>`
-    // is the only allocation left on that path.
+fn disk_lookup_on_pooled_pages_allocates_nothing() {
+    // A pool holding the whole file: once every page is pooled, a lookup
+    // searches its vertex's span inside the pooled page, so a second sweep
+    // of `try_entry` and `try_min_lambda` over every vertex allocates
+    // nothing at all.
     let (idx, _) = fixture();
     let n = idx.network().vertex_count() as u32;
-    let disk = silc::DiskSilcIndex::from_store(
+    let disk = silc::DiskSilcIndex::open_store(
         Box::new(silc_storage::MemPageStore::new(&silc::disk::encode_index(&idx))),
         idx.network_arc().clone(),
         1.0,
-        1,
     )
     .unwrap();
     let code = disk.vertex_code(VertexId(0));
-    let sweep = || (0..n).all(|v| disk.try_entry(VertexId(v), code).unwrap().is_some());
+    let rect = silc::CellRect::new(3, 5, 200, 90);
+    let sweep = || {
+        (0..n).all(|v| {
+            let v = VertexId(v);
+            disk.try_entry(v, code).unwrap().is_some() && disk.try_min_lambda(v, &rect).is_ok()
+        })
+    };
     assert!(sweep());
     disk.reset_io_stats();
     let before = allocations_on_this_thread();
     assert!(sweep());
     let allocated = allocations_on_this_thread() - before;
-    assert_eq!(disk.entry_cache_stats().misses, n as u64, "every lookup must decode");
     assert_eq!(disk.io_stats().misses, 0, "every page must come from the pool");
-    assert_eq!(allocated, n as u64, "one allocation per decoded entry list");
+    assert_eq!(allocated, 0, "a lookup on pooled pages must not allocate");
 }
